@@ -31,8 +31,14 @@ def family_corpus(max_heisenberg: int, max_tower: int):
     return algs
 
 
-def section(title: str):
+def section(title: str) -> float:
+    """Print the section header; returns its start time."""
     print(f"\n== {title} ==")
+    return time.perf_counter()
+
+
+def took(start: float) -> str:
+    return f" in {time.perf_counter() - start:.2f}s"
 
 
 def main(argv=None) -> int:
@@ -46,44 +52,44 @@ def main(argv=None) -> int:
     failures = 0
     started = time.perf_counter()
 
-    section("stored catalog rows")
+    t0 = section("stored catalog rows")
     table = verify_table1()
     bad_rows = [r for r in table.rows if not r.ok]
-    print(f"{len(table.rows)} rows recomputed, {len(bad_rows)} mismatches")
+    print(f"{len(table.rows)} rows recomputed, {len(bad_rows)} mismatches{took(t0)}")
     for row in bad_rows:
         print(f"  MISMATCH {row.name}: stored {row.stored} computed {row.computed}")
     failures += len(bad_rows)
 
-    section("classification cross-check")
+    t0 = section("classification cross-check")
     cls = verify_classification()
     bad_checks = [c for c in cls.checks if not c.ok]
-    print(f"{len(cls.checks)} checks run, {len(bad_checks)} failed")
+    print(f"{len(cls.checks)} checks run, {len(bad_checks)} failed{took(t0)}")
     for check in bad_checks:
         print(f"  MISMATCH {check.description}: computed st={check.computed_st}")
     failures += len(bad_checks)
 
     corpus = family_corpus(args.max_heisenberg, args.max_tower)
 
-    section("bracket laws")
+    t0 = section("bracket laws")
     lawless = [alg.name for alg in corpus if not validate(alg).ok]
-    print(f"{len(corpus)} algebras validated, {len(lawless)} violations")
+    print(f"{len(corpus)} algebras validated, {len(lawless)} violations{took(t0)}")
     for name in lawless:
         print(f"  VIOLATION {name}")
     failures += len(lawless)
 
-    section("central quotient bound")
+    t0 = section("central quotient bound")
     broken = [r.name for r in map(schur_bound_check, corpus) if not r.holds]
-    print(f"{len(corpus)} algebras checked, {len(broken)} violations")
+    print(f"{len(corpus)} algebras checked, {len(broken)} violations{took(t0)}")
     failures += len(broken)
 
-    section("ID* bound")
+    t0 = section("ID* bound")
     broken = [r.name for r in map(idstar_bound_check, corpus) if not r.holds]
-    print(f"{len(corpus)} algebras checked, {len(broken)} violations")
+    print(f"{len(corpus)} algebras checked, {len(broken)} violations{took(t0)}")
     failures += len(broken)
 
-    section("derived-size ladder")
+    t0 = section("derived-size ladder")
     broken = [a.name for a in map(proposition_audit, corpus) if not a.ok]
-    print(f"{len(corpus)} algebras audited, {len(broken)} violations")
+    print(f"{len(corpus)} algebras audited, {len(broken)} violations{took(t0)}")
     failures += len(broken)
 
     elapsed = time.perf_counter() - started

@@ -253,14 +253,6 @@ def zero_subspace(alg: LieSuperalgebra) -> GradedSubspace:
     return GradedSubspace(empty_basis(alg.sdim.even), empty_basis(alg.sdim.odd))
 
 
-def full_subspace(alg: LieSuperalgebra) -> GradedSubspace:
-    r, s = alg.sdim.even, alg.sdim.odd
-    return GradedSubspace(
-        echelon([[frac(int(i == j)) for j in range(r)] for i in range(r)], r),
-        echelon([[frac(int(i == j)) for j in range(s)] for i in range(s)], s),
-    )
-
-
 def split_vector(alg: LieSuperalgebra, v: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     r = alg.sdim.even
     return tuple(frac(x) for x in v[:r]), tuple(frac(x) for x in v[r:])

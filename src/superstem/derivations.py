@@ -15,13 +15,11 @@ from typing import Sequence
 
 from .core import GradedSubspace, LieSuperalgebra, SuperDim
 from .invariants import (
-    NotNilpotentError,
+    InvariantReport,
+    _nilpotent_report,
     center,
-    central_quotient,
     derived_subalgebra,
-    generator_pair,
-    is_nilpotent,
-    lambda_pair,
+    invariant_report,
 )
 from .linalg import (
     EchelonBasis,
@@ -32,6 +30,7 @@ from .linalg import (
     kernel_basis,
     matrix,
     mat_mul,
+    mat_vec,
     membership,
 )
 
@@ -42,14 +41,7 @@ class GradedLinearMap:
     matrix: Matrix
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = []
-        for row in self.matrix.entries:
-            acc = ZERO
-            for a, b in zip(row, v):
-                if a and b:
-                    acc += a * b
-            out.append(acc)
-        return tuple(out)
+        return mat_vec(self.matrix, v)
 
 
 def flatten_map(m: GradedLinearMap) -> tuple[Fraction, ...]:
@@ -271,14 +263,14 @@ class IdStarBoundReport:
     holds: bool
 
 
+def _idstar_bound(rep: InvariantReport, idstar_space: DerivationSpace) -> IdStarBoundReport:
+    sd = idstar_space.sdim
+    return IdStarBoundReport(rep.name, sd, rep.generator_pair, rep.lam, sd <= rep.lam)
+
+
 def idstar_bound_check(alg: LieSuperalgebra) -> IdStarBoundReport:
     """Check sdim ID*(L) <= lambda([L,L], p, q) componentwise."""
-    if not is_nilpotent(alg):
-        raise NotNilpotentError(f"{alg.name} is not nilpotent")
-    _, idstar_space = id_star(alg)
-    pq = generator_pair(central_quotient(alg))
-    lam = lambda_pair(derived_subalgebra(alg).sdim, pq.even, pq.odd)
-    return IdStarBoundReport(alg.name, idstar_space.sdim, pq, lam, idstar_space.sdim <= lam)
+    return _idstar_bound(_nilpotent_report(alg), id_star(alg)[1])
 
 
 @dataclass(frozen=True)
@@ -293,11 +285,16 @@ class DerivationReport:
 
 
 def derivation_report(alg: LieSuperalgebra) -> DerivationReport:
-    """Dimensions of Der, ad, ID, ID* plus the containment chain and bound."""
+    """Dimensions of Der, ad, ID, ID* plus the containment chain and bound.
+
+    Six kernel solves: Der, ID and ID* per parity, ID* shared with the bound,
+    whose (p|q) and lambda come from invariant_report.
+    """
     der = derivation_space(alg)
     inner = inner_derivations(alg)
     id_space, idstar_space = id_star(alg)
     chain_ok = inner.leq(idstar_space) and idstar_space.leq(id_space) and id_space.leq(der)
-    bound = idstar_bound_check(alg) if is_nilpotent(alg) else None
+    rep = invariant_report(alg)
+    bound = _idstar_bound(rep, idstar_space) if rep.lam is not None else None
     return DerivationReport(
         alg.name, der.sdim, inner.sdim, id_space.sdim, idstar_space.sdim, chain_ok, bound)

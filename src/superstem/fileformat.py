@@ -246,10 +246,14 @@ def parse(text: str, *, check: bool = True) -> LieSuperalgebra:
 
 
 def _format_sum(terms: list[tuple[Fraction, str]]) -> str:
-    parts = []
-    for c, nm in terms:
-        parts.append(nm if c == 1 else f"{c} {nm}")
-    return " + ".join(parts)
+    # later negative terms are written "- c x": parse rejects "+ -c x"
+    out = ""
+    for pos, (c, nm) in enumerate(terms):
+        if pos:
+            out += " - " if c < 0 else " + "
+            c = abs(c)
+        out += nm if c == 1 else f"{c} {nm}"
+    return out
 
 
 def export(alg: LieSuperalgebra) -> str:

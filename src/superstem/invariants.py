@@ -25,6 +25,7 @@ from .linalg import (
     kernel_basis,
     matrix,
     membership,
+    reduce_mod,
     sum_spaces,
     unit_vector,
 )
@@ -49,55 +50,64 @@ def derived_subalgebra(alg: LieSuperalgebra) -> GradedSubspace:
     return graded_span(alg, vectors)
 
 
-def _centraliser_part(alg: LieSuperalgebra, indices: range, width: int) -> EchelonBasis:
-    # rows of the constraint matrix: one per (j, k) with some c[i][j][k] != 0
+def _central_step_part(alg: LieSuperalgebra, z: GradedSubspace, parity: int) -> EchelonBasis:
+    # rows of the constraint matrix: one per (j, k) with some residue of
+    # [b_i, b_j] modulo z nonzero in coordinate k
+    r = alg.sdim.even
+    offset, width = (0, r) if parity == 0 else (r, alg.sdim.odd)
     rows = []
     for j in range(alg.n):
+        target, t_offset = (z.even, 0) if (parity + alg.parity(j)) % 2 == 0 else (z.odd, r)
         per_k: dict[int, list] = {}
-        for col, i in enumerate(indices):
-            for k, c in alg.basis_bracket(i, j):
-                per_k.setdefault(k, [ZERO] * width)[col] = c
+        for col in range(width):
+            support = alg.basis_bracket(offset + col, j)
+            if not support:
+                continue
+            residue = [ZERO] * target.width
+            for k, c in support:
+                residue[k - t_offset] = c
+            if target.dim:
+                residue, _ = reduce_mod(residue, target)
+            for k, c in enumerate(residue):
+                if c:
+                    per_k.setdefault(k, [ZERO] * width)[col] = c
         rows.extend(per_k.values())
     if not rows:
         return echelon([unit_vector(width, i) for i in range(width)], width)
     return kernel_basis(matrix(rows, cols=width))
 
 
+def _central_step(alg: LieSuperalgebra, z: GradedSubspace) -> GradedSubspace:
+    """{x : [x, L] in z}, one parity at a time; Z_{i+1} for z = Z_i."""
+    return GradedSubspace(_central_step_part(alg, z, 0), _central_step_part(alg, z, 1))
+
+
 def center(alg: LieSuperalgebra) -> GradedSubspace:
-    """Z(L) = {x : [x, L] = 0}, computed one parity at a time."""
-    r, s = alg.sdim.even, alg.sdim.odd
-    return GradedSubspace(
-        _centraliser_part(alg, range(0, r), r),
-        _centraliser_part(alg, range(r, r + s), s),
-    )
+    """Z(L) = {x : [x, L] = 0}, the central step taken from the zero subspace."""
+    return _central_step(alg, zero_subspace(alg))
 
 
 def upper_central_series(alg: LieSuperalgebra) -> tuple[GradedSubspace, ...]:
     """The strictly increasing chain Z_1(L) < Z_2(L) < ... until it stalls.
 
-    Each step pulls the centre of L / Z_i back along the quotient map.
+    Each step is one kernel on L itself, Z_{i+1} = {x : [x, L] in Z_i}: its
+    constraint rows are the residues of the brackets [b_i, b_j] modulo Z_i,
+    so no quotient algebra is built.
     """
     chain: list[GradedSubspace] = []
-    z_prev = zero_subspace(alg)
-    while True:
-        q, qmap = quotient(alg, z_prev)
-        zq = center(q)
-        lifted = [qmap.lift(row) for row in full_rows(q, zq)]
-        z_next = subspace_sum(z_prev, graded_span(alg, lifted))
-        if z_next.sdim == z_prev.sdim:
+    z = zero_subspace(alg)
+    while z.sdim != alg.sdim:
+        z_next = _central_step(alg, z)
+        if z_next.sdim == z.sdim:
             break
         chain.append(z_next)
-        z_prev = z_next
-        if z_next.sdim == alg.sdim:
-            break
+        z = z_next
     return tuple(chain)
 
 
 def is_nilpotent(alg: LieSuperalgebra) -> bool:
-    if alg.n == 0:
-        return True
     series = upper_central_series(alg)
-    return bool(series) and series[-1].sdim == alg.sdim
+    return (series[-1].sdim if series else SuperDim(0, 0)) == alg.sdim
 
 
 def nilpotency_class(alg: LieSuperalgebra) -> int:
@@ -142,20 +152,15 @@ def st(alg: LieSuperalgebra) -> SuperDim:
     """The defect st(L) = lambda([L,L], p, q) - sdim L/Z(L), componentwise.
 
     (p|q) is the minimal generator pair of L/Z(L); the subtraction is
-    guaranteed non-negative by the converse Schur-type bound.
+    guaranteed non-negative by the converse Schur-type bound.  Read from
+    invariant_report, which needs no quotient algebra.
     """
-    if not is_nilpotent(alg):
-        raise NotNilpotentError(f"{alg.name} is not nilpotent")
-    derived = derived_subalgebra(alg)
-    q_alg = central_quotient(alg)
-    pq = generator_pair(q_alg)
-    lam = lambda_pair(derived.sdim, pq.even, pq.odd)
-    return lam - q_alg.sdim
+    return _nilpotent_report(alg).st
 
 
 def t_scalar(alg: LieSuperalgebra) -> int:
     """The plain integer defect, the component sum of st(L)."""
-    return st(alg).total
+    return _nilpotent_report(alg).t
 
 
 @dataclass(frozen=True)
@@ -169,12 +174,9 @@ class SchurBoundReport:
 
 def schur_bound_check(alg: LieSuperalgebra) -> SchurBoundReport:
     """Check sdim L/Z(L) <= lambda([L,L], p, q) componentwise."""
-    if not is_nilpotent(alg):
-        raise NotNilpotentError(f"{alg.name} is not nilpotent")
-    q_alg = central_quotient(alg)
-    pq = generator_pair(q_alg)
-    lam = lambda_pair(derived_subalgebra(alg).sdim, pq.even, pq.odd)
-    return SchurBoundReport(alg.name, q_alg.sdim, pq, lam, q_alg.sdim <= lam)
+    rep = _nilpotent_report(alg)
+    quot = rep.sdim - rep.sdim_center
+    return SchurBoundReport(alg.name, quot, rep.generator_pair, rep.lam, quot <= rep.lam)
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,8 @@ _LADDER = ((2, 1), (3, 2), (4, 3))
 
 def proposition_audit(alg: LieSuperalgebra) -> PropositionAuditReport:
     """Audit the ladder: dim [L,L] >= 2, 3, 4 forces t(L) >= 1, 2, 3."""
-    derived_total = derived_subalgebra(alg).sdim.total
-    t = t_scalar(alg)
+    rep = _nilpotent_report(alg)
+    derived_total, t = rep.sdim_derived.total, rep.t
     rungs = []
     for threshold, required in _LADDER:
         applies = derived_total >= threshold
@@ -317,19 +319,22 @@ class InvariantReport:
 def invariant_report(alg: LieSuperalgebra) -> InvariantReport:
     """Every invariant of one algebra in a single pass.
 
-    The generator pair reported is that of L/Z(L), the one the bound uses;
-    fields depending on nilpotency are None when the series stalls.
+    Only [L,L], the upper central series and Z(L), its first term (zero
+    when the series is empty), are computed.  For nilpotent L the rest
+    follows without quotient algebras: sdim L/Z(L) = sdim L - sdim Z(L),
+    and the generator pair of L/Z(L), the one the bound uses, is
+    sdim L - sdim([L,L] + Z(L)), because [L/Z, L/Z] = ([L,L] + Z)/Z.
+    Fields depending on nilpotency are None when the series stalls.
     """
     derived = derived_subalgebra(alg)
-    cent = center(alg)
     series = upper_central_series(alg)
-    nilpotent = (alg.n == 0) or (bool(series) and series[-1].sdim == alg.sdim)
-    if nilpotent:
+    cent = series[0] if series else zero_subspace(alg)
+    top = series[-1].sdim if series else cent.sdim
+    if top == alg.sdim:
         klass: int | None = len(series)
-        q_alg = central_quotient(alg)
-        pq: SuperDim | None = generator_pair(q_alg)
+        pq: SuperDim | None = alg.sdim - subspace_sum(derived, cent).sdim
         lam: SuperDim | None = lambda_pair(derived.sdim, pq.even, pq.odd)
-        st_val: SuperDim | None = lam - q_alg.sdim
+        st_val: SuperDim | None = lam - (alg.sdim - cent.sdim)
         t_val: int | None = st_val.total
     else:
         klass = pq = lam = st_val = t_val = None
@@ -346,3 +351,11 @@ def invariant_report(alg: LieSuperalgebra) -> InvariantReport:
         st=st_val,
         t=t_val,
     )
+
+
+def _nilpotent_report(alg: LieSuperalgebra) -> InvariantReport:
+    """invariant_report(alg), raising NotNilpotentError when the series stalls."""
+    rep = invariant_report(alg)
+    if rep.st is None:
+        raise NotNilpotentError(f"{alg.name} is not nilpotent")
+    return rep

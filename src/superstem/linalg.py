@@ -49,16 +49,8 @@ def matrix(rows: Iterable[Sequence], cols: int | None = None) -> Matrix:
     return Matrix(len(ents), cols, ents)
 
 
-def zero_vector(n: int) -> tuple[Fraction, ...]:
-    return (ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def identity(n: int) -> Matrix:
-    return Matrix(n, n, tuple(unit_vector(n, i) for i in range(n)))
 
 
 def transpose(m: Matrix) -> Matrix:

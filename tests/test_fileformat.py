@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from superstem.build import heisenberg_even, heisenberg_odd, tower
+from superstem.build import algebra_from_relations, heisenberg_even, heisenberg_odd, tower
 from superstem.catalog import get, names
 from superstem.fileformat import (
     BadRationalError,
@@ -193,3 +193,17 @@ def test_roundtrip_on_families():
         again = parse(export(alg))
         assert again.tensor == alg.tensor
         assert again.basis_names == alg.basis_names
+
+
+def test_roundtrip_negative_later_terms():
+    # [e1, e2] = e3 - e4 and [f1, f1] = e3 - 1/3 e4; e3, e4 are central
+    alg = algebra_from_relations(
+        "signs", ("e1", "e2", "e3", "e4"), ("f1",),
+        [(0, 1, {2: frac(1), 3: frac(-1)}), (4, 4, {2: frac(1), 3: Fraction(-1, 3)})],
+    )
+    text = export(alg)
+    assert "[e1, e2] = e3 - e4\n" in text
+    assert "[f1, f1] = e3 - 1/3 e4\n" in text
+    again = parse(text)
+    assert again.tensor == alg.tensor
+    assert again.basis_names == alg.basis_names
