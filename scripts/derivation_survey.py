@@ -2,11 +2,14 @@
 """Print the superderivation survey table: Der, ad, ID, ID* side by side.
 
 Covers the whole catalog by default; --families appends Heisenberg and
-tower members, --name NAME restricts to single entries (repeatable).
+tower members, --name NAME restricts to single entries (repeatable).  Ends
+with "ALL CLEAR in X.XXs" or "N FAILURES in X.XXs" and exits nonzero on a
+failed chain or bound, so the survey doubles as a quick regression gate.
 """
 
 import argparse
 import sys
+import time
 
 from superstem.catalog import entries, get
 from superstem.build import heisenberg_even, heisenberg_odd, tower
@@ -36,6 +39,7 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     bad = 0
+    started = time.perf_counter()
     for alg in collect(args):
         rep = derivation_report(alg)
         chain = "ok" if rep.chain_ok else "FAIL"
@@ -47,6 +51,8 @@ def main(argv=None) -> int:
         )
         if not rep.chain_ok or (rep.bound is not None and not rep.bound.holds):
             bad += 1
+    elapsed = time.perf_counter() - started
+    print(f"\n{'ALL CLEAR' if bad == 0 else f'{bad} FAILURES'} in {elapsed:.2f}s")
     return 0 if bad == 0 else 1
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import GradedSubspace, LieSuperalgebra, SuperDim
+from .core import LieSuperalgebra, SuperDim, full_rows
 from .invariants import (
     InvariantReport,
     _nilpotent_report,
@@ -32,6 +32,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     membership,
+    reduce_mod,
 )
 
 
@@ -137,68 +138,11 @@ def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[list[F
     return rows
 
 
-def _part_to_full(alg: LieSuperalgebra, parity_of_part: int, part_index: int) -> int:
-    return part_index if parity_of_part == 0 else alg.sdim.even + part_index
-
-
-def _image_rows(alg: LieSuperalgebra, parity: int, pos_index: dict,
-                target: GradedSubspace) -> list[list[Fraction]]:
-    """Linear conditions forcing every D(b_j) into the target subspace."""
-    width = len(pos_index)
-    rows = []
-    for j in range(alg.n):
-        out_parity = (alg.parity(j) + parity) % 2
-        part = target.even if out_parity == 0 else target.odd
-        pivots = set(part.pivot_cols)
-        for u in range(part.width):
-            if u in pivots:
-                continue
-            row = [ZERO] * width
-            fu = _part_to_full(alg, out_parity, u)
-            row[pos_index[fu, j]] = ONE
-            for t, p in enumerate(part.pivot_cols):
-                coeff = part.matrix.entries[t][u]
-                if coeff:
-                    fp = _part_to_full(alg, out_parity, p)
-                    row[pos_index[fp, j]] -= coeff
-            rows.append(row)
-    return rows
-
-
-def _kill_rows(alg: LieSuperalgebra, parity: int, pos_index: dict,
-               space: GradedSubspace) -> list[list[Fraction]]:
-    """Linear conditions forcing D to vanish on the given subspace."""
-    width = len(pos_index)
-    rows = []
-    for part_parity, part in ((0, space.even), (1, space.odd)):
-        out_parity = (part_parity + parity) % 2
-        for zrow in part.rows():
-            support = [(_part_to_full(alg, part_parity, j), x) for j, x in enumerate(zrow) if x]
-            for m in range(alg.n):
-                if alg.parity(m) != out_parity:
-                    continue
-                row = [ZERO] * width
-                for fj, x in support:
-                    row[pos_index[m, fj]] = x
-                rows.append(row)
-    return rows
-
-
-def _solve(alg: LieSuperalgebra, parity: int, *, image_in: GradedSubspace | None = None,
-           kill: GradedSubspace | None = None) -> EchelonBasis:
+def _solve(alg: LieSuperalgebra, parity: int) -> EchelonBasis:
     positions = _allowed_positions(alg, parity)
     pos_index = {pos: t for t, pos in enumerate(positions)}
-    width = len(positions)
     rows = _law_rows(alg, parity, pos_index)
-    if image_in is not None:
-        rows.extend(_image_rows(alg, parity, pos_index, image_in))
-    if kill is not None:
-        rows.extend(_kill_rows(alg, parity, pos_index, kill))
-    if not rows:
-        sol = echelon([[ONE if t == u else ZERO for u in range(width)] for t in range(width)], width)
-    else:
-        sol = kernel_basis(matrix(rows, cols=width))
-    return _embed_echelon(sol, positions, alg.n)
+    return _embed_echelon(kernel_basis(matrix(rows, cols=len(positions))), positions, alg.n)
 
 
 def derivation_space(alg: LieSuperalgebra) -> DerivationSpace:
@@ -219,27 +163,58 @@ def inner_derivations(alg: LieSuperalgebra) -> DerivationSpace:
     return DerivationSpace(n, echelon(flats[0], n * n), echelon(flats[1], n * n))
 
 
+def _vanishing(basis: EchelonBasis, values: list[list[Fraction]]) -> EchelonBasis:
+    """The elements of span(basis) on which some linear conditions vanish.
+
+    values[k] lists the conditions evaluated on the k-th basis row, so the
+    kernel of the (conditions x dim) matrix holds the coefficients of the
+    combinations that satisfy them.  Kernel and basis are both in RREF, so
+    coefficients times basis is already the RREF of the subspace: its pivots
+    are the basis pivots that the kernel's pivots pick.
+    """
+    conditions = [c for c in zip(*values) if any(c)]
+    coeffs = kernel_basis(matrix(conditions, cols=basis.dim))
+    pivots = tuple(basis.pivot_cols[k] for k in coeffs.pivot_cols)
+    return EchelonBasis(mat_mul(coeffs.matrix, basis.matrix), pivots)
+
+
+def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSpace, DerivationSpace]:
+    """(ID(L), ID*(L)) found inside der = Der(L), one parity at a time.
+
+    ID = {D in Der : D(b_j) = 0 mod [L, L] for every j} is cut from Der by
+    the residues of its columns; ID* = {D in ID : D(z) = 0 for z in Z(L)} is
+    cut from ID by the images of a basis of the centre.
+    """
+    n = alg.n
+    derived = echelon(full_rows(alg, derived_subalgebra(alg)), n)
+    cent = full_rows(alg, center(alg))
+
+    def residues(d: Sequence[Fraction]) -> list[Fraction]:
+        return [x for j in range(n) for x in reduce_mod(d[j::n], derived)[0]]
+
+    def central_images(d: Sequence[Fraction], parity: int) -> list[Fraction]:
+        m = unflatten_map(d, n, parity)
+        return [x for z in cent for x in m.apply(z)]
+
+    id_parts, star_parts = [], []
+    for parity in (0, 1):
+        basis = der.part(parity)
+        id_part = _vanishing(basis, [residues(d) for d in basis.rows()])
+        id_parts.append(id_part)
+        star_parts.append(_vanishing(id_part, [central_images(d, parity) for d in id_part.rows()]))
+    return DerivationSpace(n, *id_parts), DerivationSpace(n, *star_parts)
+
+
 def id_star(alg: LieSuperalgebra) -> tuple[DerivationSpace, DerivationSpace]:
     """The pair (ID(L), ID*(L)).
 
     ID(L) is the space of superderivations with image inside [L, L]; ID*(L)
-    is the subspace of those that also vanish on the centre.  Both are cut
-    out by stacking the extra linear conditions next to the derivation law,
-    one kernel computation per parity.
+    is the subspace of those that also vanish on the centre.  Der(L) is
+    solved once per parity; ID and ID* are small kernels in the coordinates
+    of its basis, ID = {D in Der : D(b_j) in [L, L] for all j} and
+    ID* = {D in ID : D(Z(L)) = 0}.
     """
-    derived = derived_subalgebra(alg)
-    cent = center(alg)
-    id_space = DerivationSpace(
-        alg.n,
-        _solve(alg, 0, image_in=derived),
-        _solve(alg, 1, image_in=derived),
-    )
-    idstar_space = DerivationSpace(
-        alg.n,
-        _solve(alg, 0, image_in=derived, kill=cent),
-        _solve(alg, 1, image_in=derived, kill=cent),
-    )
-    return id_space, idstar_space
+    return _id_spaces(alg, derivation_space(alg))
 
 
 def der_bracket(d: GradedLinearMap, e: GradedLinearMap) -> GradedLinearMap:
@@ -287,12 +262,13 @@ class DerivationReport:
 def derivation_report(alg: LieSuperalgebra) -> DerivationReport:
     """Dimensions of Der, ad, ID, ID* plus the containment chain and bound.
 
-    Six kernel solves: Der, ID and ID* per parity, ID* shared with the bound,
-    whose (p|q) and lambda come from invariant_report.
+    Two n^2-wide kernel solves, Der per parity.  ID and ID* are found
+    inside that Der as in id_star, ID* is shared with the bound, and the bound's (p|q)
+    and lambda come from invariant_report.
     """
     der = derivation_space(alg)
     inner = inner_derivations(alg)
-    id_space, idstar_space = id_star(alg)
+    id_space, idstar_space = _id_spaces(alg, der)
     chain_ok = inner.leq(idstar_space) and idstar_space.leq(id_space) and id_space.leq(der)
     rep = invariant_report(alg)
     bound = _idstar_bound(rep, idstar_space) if rep.lam is not None else None

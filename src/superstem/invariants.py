@@ -72,8 +72,6 @@ def _central_step_part(alg: LieSuperalgebra, z: GradedSubspace, parity: int) -> 
                 if c:
                     per_k.setdefault(k, [ZERO] * width)[col] = c
         rows.extend(per_k.values())
-    if not rows:
-        return echelon([unit_vector(width, i) for i in range(width)], width)
     return kernel_basis(matrix(rows, cols=width))
 
 

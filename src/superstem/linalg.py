@@ -225,22 +225,3 @@ def intersect_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
         vectors.append(vec)
     return echelon(vectors, a.width)
 
-
-def solve_coords(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """Coordinates of v in an arbitrary (not necessarily echelon) spanning list.
-
-    Returns None when v is outside the span; free coordinates are set to 0.
-    """
-    n = len(v)
-    m = len(rows)
-    aug = [[frac(rows[i][j]) for i in range(m)] + [frac(v[j])] for j in range(n)]
-    e = rref(matrix(aug, cols=m + 1)) if n else empty_basis(m + 1)
-    coords = [ZERO] * m
-    for row, p in zip(e.matrix.entries, e.pivot_cols):
-        if p == m:
-            return None
-        # in RREF the remaining nonzero entries of this row sit at free
-        # columns, which are pinned to zero, so the pivot value is just the
-        # augmented entry
-        coords[p] = row[m]
-    return tuple(coords)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
@@ -12,9 +13,9 @@ from superstem.linalg import (
     mat_vec,
     membership,
     rref,
-    solve_coords,
     sum_spaces,
     transpose,
+    unit_vector,
 )
 
 rationals = strat.fractions(max_denominator=6).map(frac)
@@ -68,12 +69,11 @@ def test_intersection_hand_example():
     assert meet.matrix.entries == ((frac(1), frac(1)),)
 
 
-def test_solve_coords_agrees_with_membership():
-    rows = [[1, 2, 0], [0, 1, 1]]
-    v = [2, 5, 1]
-    coords = solve_coords(rows, v)
-    assert coords == (frac(2), frac(1))
-    assert solve_coords(rows, [0, 0, 5]) is None
+@pytest.mark.parametrize("width", (0, 1, 3))
+def test_kernel_of_no_conditions_is_the_whole_space(width):
+    k = kernel_basis(matrix([], cols=width))
+    assert k.pivot_cols == tuple(range(width))
+    assert k.rows() == tuple(unit_vector(width, i) for i in range(width))
 
 
 @settings(max_examples=60)

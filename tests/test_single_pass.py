@@ -4,10 +4,13 @@ The upper central series is computed as one kernel per step on L itself,
 and the generator pair of L/Z(L) as sdim L - sdim([L,L] + Z(L)).  The
 differential tests rebuild both the old way, through `quotient` and
 `QuotientMap.lift`; the guard tests check that the report paths build no
-quotient algebra and solve each derivation system once.
+quotient algebra and solve each derivation system once.  ID and ID* are
+found inside the Der solution; they are checked against the stacked
+n^2-wide systems that did it before, on the corpus and on rescaled bases.
 """
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -22,19 +25,36 @@ from superstem.build import (
     tower,
 )
 from superstem.catalog import entries, get, verify_classification, verify_table1
-from superstem.core import full_rows, graded_span, subspace_sum, zero_subspace
-from superstem.derivations import derivation_report, idstar_bound_check
+from superstem.core import (
+    LieSuperalgebra,
+    full_rows,
+    graded_span,
+    subspace_sum,
+    validate,
+    vector_parity,
+    zero_subspace,
+)
+from superstem.derivations import (
+    DerivationSpace,
+    _allowed_positions,
+    _embed_echelon,
+    _law_rows,
+    derivation_report,
+    id_star,
+    idstar_bound_check,
+)
 from superstem.invariants import (
     NotNilpotentError,
     center,
     central_quotient,
+    derived_subalgebra,
     generator_pair,
     invariant_report,
     schur_bound_check,
     st,
     upper_central_series,
 )
-from superstem.linalg import frac
+from superstem.linalg import frac, kernel_basis, matrix
 
 SAMPLE = ("(4|0)_2", "(2|2)_6", "(1|3)_1", "(3|2)_13", "(2|3)_18")
 
@@ -43,15 +63,19 @@ def non_nilpotent_example():
     return algebra_from_relations("solvable", ("e1", "e2"), (), [(0, 1, {1: frac(1)})])
 
 
-def differential_corpus():
-    """The acceptance corpus, two scaling points and one non-nilpotent algebra."""
+def acceptance_corpus():
+    """The 94 algebras of the acceptance tests."""
     algs = [e.algebra for e in entries()]
     algs += [heisenberg_even(m, s - m) for s in range(1, 7) for m in range(s + 1)]
     algs += [heisenberg_odd(m) for m in range(1, 5)]
     algs += [tower(t) for t in range(1, 7)]
     algs += [direct_sum(get(a).algebra, get(b).algebra) for a in SAMPLE for b in SAMPLE]
-    algs += [heisenberg_even(10, 0), tower(20), non_nilpotent_example()]
     return algs
+
+
+def differential_corpus():
+    """The acceptance corpus, two scaling points and one non-nilpotent algebra."""
+    return acceptance_corpus() + [heisenberg_even(10, 0), tower(20), non_nilpotent_example()]
 
 
 def quotient_series(alg):
@@ -135,9 +159,9 @@ def test_catalog_verification_builds_no_quotient(no_quotients):
     assert verify_classification().ok
 
 
-@pytest.mark.parametrize("alg", [get("(3|2)_13").algebra, heisenberg_even(2, 1),
-                                 tower(3), abelian(1, 2)], ids=lambda a: a.name)
-def test_derivation_report_solves_six_systems(monkeypatch, alg):
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The parities `derivations._solve` is called with, in call order."""
     calls = []
     solve = superstem.derivations._solve
 
@@ -146,5 +170,114 @@ def test_derivation_report_solves_six_systems(monkeypatch, alg):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(superstem.derivations, "_solve", counting)
+    return calls
+
+
+SOLVE_GUARD_ALGEBRAS = [get("(3|2)_13").algebra, heisenberg_even(2, 1), tower(3), abelian(1, 2)]
+
+
+@pytest.mark.parametrize("alg", SOLVE_GUARD_ALGEBRAS, ids=lambda a: a.name)
+def test_derivation_report_solves_two_systems(solve_calls, alg):
     derivation_report(alg)
-    assert sorted(calls) == [0, 0, 0, 1, 1, 1]
+    assert sorted(solve_calls) == [0, 1]
+
+
+@pytest.mark.parametrize("alg", SOLVE_GUARD_ALGEBRAS, ids=lambda a: a.name)
+def test_idstar_bound_check_solves_two_systems(solve_calls, alg):
+    idstar_bound_check(alg)
+    assert sorted(solve_calls) == [0, 1]
+
+
+def stacked_id_star(alg):
+    """(ID, ID*) the way they were first computed: the derivation law, the
+    image rows (each D(b_j) lies in [L,L]) and, for ID*, the kill rows
+    (D vanishes on Z(L)) stacked into one n^2-wide system per parity."""
+    n, r = alg.n, alg.sdim.even
+    derived = derived_subalgebra(alg)
+    cent_rows = full_rows(alg, center(alg))
+
+    def image_rows(parity, pos_index):
+        rows = []
+        for j in range(n):
+            out = (alg.parity(j) + parity) % 2
+            part, offset = (derived.even, 0) if out == 0 else (derived.odd, r)
+            for u in range(part.width):
+                if u in part.pivot_cols:
+                    continue
+                row = [0] * len(pos_index)
+                row[pos_index[offset + u, j]] = 1
+                for basis_row, p in zip(part.rows(), part.pivot_cols):
+                    row[pos_index[offset + p, j]] -= basis_row[u]
+                rows.append(row)
+        return rows
+
+    def kill_rows(parity, pos_index):
+        rows = []
+        for z in cent_rows:
+            out = (vector_parity(alg, z) + parity) % 2
+            for m in range(n):
+                if alg.parity(m) == out:
+                    row = [0] * len(pos_index)
+                    for j, x in enumerate(z):
+                        if x:
+                            row[pos_index[m, j]] = x
+                    rows.append(row)
+        return rows
+
+    def solve(parity, kill):
+        positions = _allowed_positions(alg, parity)
+        pos_index = {pos: t for t, pos in enumerate(positions)}
+        rows = _law_rows(alg, parity, pos_index) + image_rows(parity, pos_index)
+        if kill:
+            rows += kill_rows(parity, pos_index)
+        return _embed_echelon(kernel_basis(matrix(rows, cols=len(positions))), positions, n)
+
+    return tuple(DerivationSpace(n, solve(0, kill), solve(1, kill)) for kill in (False, True))
+
+
+def rescaled(alg):
+    """The same algebra on the basis s_i b_i, s_i = (i+2)/(i+1):
+    c'_ij^k = c_ij^k s_i s_j / s_k, so the systems are no longer integral."""
+    s = [Fraction(i + 2, i + 1) for i in range(alg.n)]
+    tensor = tuple(
+        tuple(tuple(c * s[i] * s[j] / s[k] for k, c in enumerate(cell))
+              for j, cell in enumerate(row))
+        for i, row in enumerate(alg.tensor)
+    )
+    return LieSuperalgebra(f"{alg.name}*", alg.even_names, alg.odd_names, tensor)
+
+
+def non_stem_examples():
+    """Algebras with a central element outside [L,L], so that ID* < ID; on
+    the acceptance corpus ID* = ID throughout and the kill rows cut nothing."""
+    return [
+        direct_sum(heisenberg_even(1, 0), abelian(1, 0)),
+        direct_sum(heisenberg_odd(1), abelian(0, 1)),
+        direct_sum(tower(3), abelian(1, 1)),
+        direct_sum(get("(3|2)_13").algebra, abelian(0, 1)),
+        direct_sum(get("(2|3)_18").algebra, abelian(1, 0)),
+    ]
+
+
+@pytest.mark.parametrize("alg", non_stem_examples(), ids=lambda a: a.name)
+def test_non_stem_examples_separate_id_star_from_id(alg):
+    id_space, idstar_space = id_star(alg)
+    assert idstar_space.leq(id_space) and idstar_space.sdim != id_space.sdim
+
+
+@pytest.mark.parametrize("alg", acceptance_corpus() + non_stem_examples() + [non_nilpotent_example()],
+                         ids=lambda a: a.name)
+def test_id_star_matches_stacked_systems(alg):
+    assert id_star(alg) == stacked_id_star(alg)
+
+
+@pytest.mark.parametrize("alg", [e.algebra for e in entries()] + non_stem_examples(),
+                         ids=lambda a: a.name)
+def test_id_star_on_rescaled_basis(alg):
+    copy = rescaled(alg)
+    assert validate(copy).ok
+    assert id_star(copy) == stacked_id_star(copy)
+    rep, rep_copy = derivation_report(alg), derivation_report(copy)
+    assert (rep_copy.sdim_der, rep_copy.sdim_inner, rep_copy.sdim_id, rep_copy.sdim_id_star) == (
+        rep.sdim_der, rep.sdim_inner, rep.sdim_id, rep.sdim_id_star)
+    assert st(copy) == st(alg)
