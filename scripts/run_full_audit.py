@@ -2,8 +2,9 @@
 """Run every verification pass over the catalog and the standard families.
 
 Sections: stored-table reproduction, classification cross-check, the two
-size bounds, and the derived-size ladder.  Exits nonzero if any check
-fails, so the script doubles as a one-shot regression gate.
+size bounds, the derived-size ladder, and the closure of Der(L) under the
+graded commutator.  Exits nonzero if any check fails, so the script doubles
+as a one-shot regression gate.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import time
 from superstem.build import direct_sum, heisenberg_even, heisenberg_odd, tower
 from superstem.catalog import entries, get, verify_classification, verify_table1
 from superstem.core import validate
-from superstem.derivations import idstar_bound_check
+from superstem.derivations import der_bracket, derivation_space, idstar_bound_check
 from superstem.invariants import proposition_audit, schur_bound_check
 
 
@@ -91,6 +92,19 @@ def main(argv=None) -> int:
     broken = [a.name for a in map(proposition_audit, corpus) if not a.ok]
     print(f"{len(corpus)} algebras audited, {len(broken)} violations{took(t0)}")
     failures += len(broken)
+
+    t0 = section("derivation bracket closure")
+    pairs = misses = 0
+    for alg in corpus:
+        space = derivation_space(alg)
+        maps = space.maps(0) + space.maps(1)
+        outside = sum(not space.contains(der_bracket(d, e)) for d in maps for e in maps)
+        pairs += len(maps) ** 2
+        if outside:
+            print(f"  NOT CLOSED {alg.name}: {outside} brackets outside Der")
+        misses += outside
+    print(f"{pairs} brackets over {len(corpus)} algebras, {misses} outside Der{took(t0)}")
+    failures += misses
 
     elapsed = time.perf_counter() - started
     print(f"\n{'ALL CLEAR' if failures == 0 else f'{failures} FAILURES'} in {elapsed:.2f}s")

@@ -5,12 +5,19 @@ on homogeneous x, y.  Matrices follow the column convention: M[i][j] is the
 coefficient of basis vector i in D(basis vector j), so only positions with
 parity(i) = parity(j) + alpha can be nonzero.  Spaces are stored as echelon
 bases in the row-major flattening of the full n x n matrix.
+
+A map also keeps the nonzero (column, value) pairs of each row, and an
+echelon basis those of its rows, both computed on first use.  Applying a
+map, brackets of maps, membership in a space, containment of spaces and the
+images of the centre work on these pairs alone, so their cost follows the
+nonzeros rather than n^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import LieSuperalgebra, SuperDim, full_rows
@@ -30,9 +37,9 @@ from .linalg import (
     kernel_basis,
     matrix,
     mat_mul,
-    mat_vec,
-    membership,
+    nonzeros,
     reduce_mod,
+    reduce_sparse,
 )
 
 
@@ -41,8 +48,15 @@ class GradedLinearMap:
     parity: int
     matrix: Matrix
 
+    @cached_property
+    def _support(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The nonzero (column, value) pairs of each row."""
+        return tuple(nonzeros(row) for row in self.matrix.entries)
+
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return mat_vec(self.matrix, v)
+        if len(v) != self.matrix.cols:
+            raise ValueError("vector length does not match column count")
+        return tuple(sum([x * v[j] for j, x in row if v[j]], ZERO) for row in self._support)
 
 
 def flatten_map(m: GradedLinearMap) -> tuple[Fraction, ...]:
@@ -72,13 +86,20 @@ class DerivationSpace:
         return tuple(unflatten_map(row, self.n, parity) for row in basis.rows())
 
     def contains(self, m: GradedLinearMap) -> bool:
-        return membership(flatten_map(m), self.part(m.parity))[0]
+        part = self.part(m.parity)
+        cols = m.matrix.cols
+        if m.matrix.rows * cols != part.width:
+            raise ValueError("vector length does not match basis width")
+        flat = ((i * cols + j, x) for i, row in enumerate(m._support) for j, x in row)
+        return not reduce_sparse(flat, part)[0]
 
     def leq(self, other: "DerivationSpace") -> bool:
+        if self.n != other.n:
+            raise ValueError("ambient widths differ")
         return all(
-            membership(row, other.part(par))[0]
+            not reduce_sparse(row, other.part(par))[0]
             for par in (0, 1)
-            for row in self.part(par).rows()
+            for row in self.part(par).row_support
         )
 
 
@@ -188,20 +209,27 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
     n = alg.n
     derived = echelon(full_rows(alg, derived_subalgebra(alg)), n)
     cent = full_rows(alg, center(alg))
+    # the nonzero (t, z_t[j]) of column j over the centre's basis z_0, z_1, ...
+    cent_cols = [[(t, z[j]) for t, z in enumerate(cent) if z[j]] for j in range(n)]
 
     def residues(d: Sequence[Fraction]) -> list[Fraction]:
         return [x for j in range(n) for x in reduce_mod(d[j::n], derived)[0]]
 
-    def central_images(d: Sequence[Fraction], parity: int) -> list[Fraction]:
-        m = unflatten_map(d, n, parity)
-        return [x for z in cent for x in m.apply(z)]
+    def central_images(d: tuple[tuple[int, Fraction], ...]) -> list[Fraction]:
+        """D(z_0), D(z_1), ... laid end to end, from the nonzeros of D's flattening."""
+        out = [ZERO] * (len(cent) * n)
+        for f, x in d:
+            i, j = divmod(f, n)
+            for t, z in cent_cols[j]:
+                out[t * n + i] += x * z
+        return out
 
     id_parts, star_parts = [], []
     for parity in (0, 1):
         basis = der.part(parity)
         id_part = _vanishing(basis, [residues(d) for d in basis.rows()])
         id_parts.append(id_part)
-        star_parts.append(_vanishing(id_part, [central_images(d, parity) for d in id_part.rows()]))
+        star_parts.append(_vanishing(id_part, [central_images(d) for d in id_part.row_support]))
     return DerivationSpace(n, *id_parts), DerivationSpace(n, *star_parts)
 
 
@@ -218,15 +246,23 @@ def id_star(alg: LieSuperalgebra) -> tuple[DerivationSpace, DerivationSpace]:
 
 
 def der_bracket(d: GradedLinearMap, e: GradedLinearMap) -> GradedLinearMap:
-    """[D, E] = DE - (-1)^(|D||E|) ED."""
-    de = mat_mul(d.matrix, e.matrix)
-    ed = mat_mul(e.matrix, d.matrix)
-    sign = -1 if (d.parity * e.parity) % 2 else 1
-    ents = tuple(
-        tuple(x - sign * y for x, y in zip(r1, r2))
-        for r1, r2 in zip(de.entries, ed.entries)
-    )
-    return GradedLinearMap((d.parity + e.parity) % 2, Matrix(de.rows, de.cols, ents))
+    """[D, E] = DE - (-1)^(|D||E|) ED, multiplied over the nonzeros of D and E."""
+    n = d.matrix.rows
+    if (d.matrix.cols, e.matrix.rows, e.matrix.cols) != (n, n, n):
+        raise ValueError("maps must be square and of the same size")
+    both_odd = (d.parity * e.parity) % 2
+    ds, es = d._support, e._support
+    out = [[ZERO] * n for _ in range(n)]
+    for i, orow in enumerate(out):
+        for k, x in ds[i]:
+            for j, y in es[k]:
+                orow[j] += x * y
+        for k, y in es[i]:
+            if not both_odd:
+                y = -y
+            for j, x in ds[k]:
+                orow[j] += y * x
+    return GradedLinearMap((d.parity + e.parity) % 2, Matrix(n, n, tuple(map(tuple, out))))
 
 
 @dataclass(frozen=True)

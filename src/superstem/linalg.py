@@ -1,15 +1,18 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Matrices are immutable tuples of Fraction rows and every operation is a
 pure function, so values can be shared freely between threads.  Spans are
 kept in reduced row echelon form, which makes equality of subspaces plain
-tuple equality.
+tuple equality.  Elimination is dense; reduction against a span walks a
+cached sparse view of its rows, the (column, value) pairs of their nonzero
+entries, and `reduce_sparse` takes its input in the same sparse form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -47,6 +50,16 @@ def matrix(rows: Iterable[Sequence], cols: int | None = None) -> Matrix:
     elif cols is None:
         raise ValueError("an empty matrix needs an explicit column count")
     return Matrix(len(ents), cols, ents)
+
+
+def nonzeros(row: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    """(index, value) of each nonzero entry of row, in index order.
+
+    Entries that are the shared ZERO are skipped by identity, which is much
+    cheaper than testing a Fraction's value; any other zero, such as a fresh
+    Fraction(0), is dropped by its value.
+    """
+    return tuple([(j, x) for j, x in enumerate(row) if x is not ZERO and x])
 
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
@@ -107,6 +120,11 @@ class EchelonBasis:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.matrix.entries
 
+    @cached_property
+    def row_support(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The nonzero (column, value) pairs of each row."""
+        return tuple(nonzeros(row) for row in self.matrix.entries)
+
 
 def rref(m: Matrix) -> EchelonBasis:
     """Reduced row echelon form with zero rows dropped."""
@@ -160,14 +178,32 @@ def reduce_mod(v: Sequence[Fraction], b: EchelonBasis) -> tuple[tuple[Fraction, 
         raise ValueError("vector length does not match basis width")
     work = [frac(x) for x in v]
     coords = []
-    for row, p in zip(b.matrix.entries, b.pivot_cols):
+    for row, p in zip(b.row_support, b.pivot_cols):
         c = work[p]
         coords.append(c)
         if c:
-            for j in range(p, b.width):
-                if row[j]:
-                    work[j] -= c * row[j]
+            for j, x in row:
+                work[j] -= c * x
     return tuple(work), tuple(coords)
+
+
+def reduce_sparse(
+    v: Iterable[tuple[int, Fraction]], b: EchelonBasis
+) -> tuple[dict[int, Fraction], tuple[Fraction, ...]]:
+    """reduce_mod for a vector given by its (index, value) pairs.
+
+    Returns (residual, coords) with the residual as a dict of its nonzero
+    entries, so it is empty exactly when v lies in the span.
+    """
+    work = dict(v)
+    coords = []
+    for row, p in zip(b.row_support, b.pivot_cols):
+        c = work.get(p, ZERO)
+        coords.append(c)
+        if c:
+            for j, x in row:
+                work[j] = work.get(j, ZERO) - c * x
+    return {j: x for j, x in work.items() if x}, tuple(coords)
 
 
 def membership(v: Sequence[Fraction], b: EchelonBasis) -> tuple[bool, tuple[Fraction, ...] | None]:

@@ -6,7 +6,8 @@ differential tests rebuild both the old way, through `quotient` and
 `QuotientMap.lift`; the guard tests check that the report paths build no
 quotient algebra and solve each derivation system once.  ID and ID* are
 found inside the Der solution; they are checked against the stacked
-n^2-wide systems that did it before, on the corpus and on rescaled bases.
+n^2-wide systems that did it before, on the corpus and on rescaled and
+sheared bases.
 """
 
 import sys
@@ -281,3 +282,30 @@ def test_id_star_on_rescaled_basis(alg):
     assert (rep_copy.sdim_der, rep_copy.sdim_inner, rep_copy.sdim_id, rep_copy.sdim_id_star) == (
         rep.sdim_der, rep.sdim_inner, rep.sdim_id, rep.sdim_id_star)
     assert st(copy) == st(alg)
+
+
+def sheared(alg):
+    """The same algebra on the basis b'_j = sum of b_i over the i <= j of
+    b_j's parity block, so a basis of Z(L) is no longer made of (multiples
+    of) basis vectors."""
+    n, r = alg.n, alg.sdim.even
+    start = [0 if j < r else r for j in range(n)]
+    cols = [[Fraction(int(start[j] <= i <= j)) for i in range(n)] for j in range(n)]
+
+    def coords(w):
+        # the inverse change of basis: y_i = w_i - w_(i+1) inside a block
+        return tuple(w[i] - w[i + 1] if i + 1 < n and start[i + 1] == start[i] else w[i]
+                     for i in range(n))
+
+    tensor = tuple(tuple(coords(alg.bracket(cols[i], cols[j])) for j in range(n)) for i in range(n))
+    return LieSuperalgebra(f"{alg.name}/", alg.even_names, alg.odd_names, tensor)
+
+
+@pytest.mark.parametrize("alg", non_stem_examples(), ids=lambda a: a.name)
+def test_id_star_on_sheared_basis(alg):
+    copy = sheared(alg)
+    assert validate(copy).ok
+    assert any(sum(map(bool, z)) > 1 for z in full_rows(copy, center(copy)))
+    id_space, idstar_space = id_star(copy)
+    assert (id_space, idstar_space) == stacked_id_star(copy)
+    assert (id_space.sdim, idstar_space.sdim) == tuple(s.sdim for s in id_star(alg))
