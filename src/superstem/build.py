@@ -12,7 +12,7 @@ from .core import (
     full_rows,
     subspace_contains,
 )
-from .linalg import ZERO, frac, reduce_mod
+from .linalg import ZERO, frac, nonzeros, reduce_mod
 
 
 class StructureConflictError(ValueError):
@@ -191,11 +191,11 @@ class QuotientMap:
     odd_kept: tuple[int, ...]
 
     def project(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        ev = [frac(x) for x in v[: self.domain_even]]
-        od = [frac(x) for x in v[self.domain_even:]]
-        ev_res, _ = reduce_mod(ev, self.ideal.even)
-        od_res, _ = reduce_mod(od, self.ideal.odd)
-        return tuple(ev_res[i] for i in self.even_kept) + tuple(od_res[i] for i in self.odd_kept)
+        r = self.domain_even
+        ev_res, _ = reduce_mod(nonzeros([frac(x) for x in v[:r]]), self.ideal.even)
+        od_res, _ = reduce_mod(nonzeros([frac(x) for x in v[r:]]), self.ideal.odd)
+        return tuple(ev_res.get(i, ZERO) for i in self.even_kept) + tuple(
+            od_res.get(i, ZERO) for i in self.odd_kept)
 
     def lift(self, w: Sequence[Fraction]) -> tuple[Fraction, ...]:
         ev = [ZERO] * self.domain_even

@@ -314,10 +314,13 @@ class ClassificationReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_classification(max_pad: int = 2) -> ClassificationReport:
+_MAX_PAD = 2
+
+
+def verify_classification() -> ClassificationReport:
     """Check the classified st values two ways.
 
-    Forward: every listed head, padded by abelian summands up to max_pad in
+    Forward: every listed head, padded by abelian summands up to _MAX_PAD in
     each parity, computes to the st value of its item.  Backward: every
     catalog entry whose computed st is one of the classified values appears
     as a head of that item, and every other entry has t >= 3.
@@ -327,8 +330,8 @@ def verify_classification(max_pad: int = 2) -> ClassificationReport:
     checks: list[ClassificationCheck] = []
     for value in classified_values():
         for head_name, head_alg in heads_for(value):
-            for a in range(max_pad + 1):
-                for b in range(max_pad + 1):
+            for a in range(_MAX_PAD + 1):
+                for b in range(_MAX_PAD + 1):
                     alg = direct_sum(head_alg, abelian(a, b)) if a or b else head_alg
                     got = st(alg)
                     desc = head_name if not (a or b) else f"{head_name} + A({a}|{b})"

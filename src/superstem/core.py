@@ -2,7 +2,9 @@
 
 Basis vectors are indexed 0..r-1 (even part) then r..r+s-1 (odd part).  The
 structure tensor stores both orientations, tensor[i][j][k] being the
-coefficient of basis vector k in the bracket of basis vectors i and j.
+coefficient of basis vector k in the bracket of basis vectors i and j.  It is
+read once, into the sparse brackets of basis pairs that `basis_bracket`
+returns; brackets, law validation and everything built on them use those.
 """
 
 from __future__ import annotations
@@ -169,68 +171,49 @@ def validate(alg: LieSuperalgebra) -> ValidationReport:
     """Check grading, super skew symmetry, and the graded Jacobi identity.
 
     Returns a ValidationReport; the first violation of each law is recorded.
+    Every law reads the sparse brackets of basis pairs only.
     """
-    n = alg.n
+    n, names = alg.n, alg.basis_names
     p = [alg.parity(i) for i in range(n)]
-    violations: list[LawViolation] = []
 
-    grading_ok = True
-    for i in range(n):
-        for j in range(n):
-            want = (p[i] + p[j]) % 2
-            for k, c in alg.basis_bracket(i, j):
-                if p[k] != want:
-                    grading_ok = False
-                    violations.append(LawViolation(
-                        "grading", (i, j, k),
-                        f"[{alg.basis_names[i]}, {alg.basis_names[j]}] hits "
-                        f"{alg.basis_names[k]} of the wrong parity"))
-                    break
-            if not grading_ok:
-                break
-        if not grading_ok:
-            break
+    def grading():
+        for i in range(n):
+            for j in range(n):
+                for k, _ in alg.basis_bracket(i, j):
+                    if p[k] != (p[i] + p[j]) % 2:
+                        yield LawViolation(
+                            "grading", (i, j, k),
+                            f"[{names[i]}, {names[j]}] hits {names[k]} of the wrong parity")
 
-    skew_ok = True
-    for i in range(n):
-        for j in range(i, n):
-            s = _sign(p[i] * p[j])
-            for k in range(n):
-                if alg.tensor[j][i][k] != -s * alg.tensor[i][j][k]:
-                    skew_ok = False
-                    violations.append(LawViolation(
+    def skew():
+        for i in range(n):
+            for j in range(i, n):
+                s = _sign(p[i] * p[j])
+                mirror = {k: -s * c for k, c in alg.basis_bracket(i, j)}
+                twin = dict(alg.basis_bracket(j, i))
+                if twin != mirror:
+                    k = min(k for k in twin.keys() | mirror.keys() if twin.get(k) != mirror.get(k))
+                    yield LawViolation(
                         "skew", (i, j, k),
-                        f"[{alg.basis_names[j]}, {alg.basis_names[i]}] is not "
-                        f"the signed mirror of the (i, j) orientation"))
-                    break
-            if not skew_ok:
-                break
-        if not skew_ok:
-            break
+                        f"[{names[j]}, {names[i]}] is not the signed mirror of the (i, j) orientation")
 
-    jacobi_ok = True
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                acc = [ZERO] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    s = _sign(p[a] * p[c])
-                    for m, coeff in alg.basis_bracket(b, c):
-                        for t, coeff2 in alg.basis_bracket(a, m):
-                            acc[t] += s * coeff * coeff2
-                if any(acc):
-                    jacobi_ok = False
-                    violations.append(LawViolation(
-                        "jacobi", (i, j, k),
-                        f"graded Jacobi fails on ({alg.basis_names[i]}, "
-                        f"{alg.basis_names[j]}, {alg.basis_names[k]})"))
-                    break
-            if not jacobi_ok:
-                break
-        if not jacobi_ok:
-            break
+    def jacobi():
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(j, n):
+                    acc: dict[int, Fraction] = {}
+                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                        s = _sign(p[a] * p[c])
+                        for m, coeff in alg.basis_bracket(b, c):
+                            for t, coeff2 in alg.basis_bracket(a, m):
+                                acc[t] = acc.get(t, ZERO) + s * coeff * coeff2
+                    if any(acc.values()):
+                        yield LawViolation(
+                            "jacobi", (i, j, k),
+                            f"graded Jacobi fails on ({names[i]}, {names[j]}, {names[k]})")
 
-    return ValidationReport(grading_ok, skew_ok, jacobi_ok, tuple(violations))
+    first = [next(law(), None) for law in (grading, skew, jacobi)]
+    return ValidationReport(*(v is None for v in first), tuple(v for v in first if v is not None))
 
 
 @dataclass(frozen=True)

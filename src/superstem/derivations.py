@@ -39,7 +39,6 @@ from .linalg import (
     mat_mul,
     nonzeros,
     reduce_mod,
-    reduce_sparse,
 )
 
 
@@ -91,13 +90,13 @@ class DerivationSpace:
         if m.matrix.rows * cols != part.width:
             raise ValueError("vector length does not match basis width")
         flat = ((i * cols + j, x) for i, row in enumerate(m._support) for j, x in row)
-        return not reduce_sparse(flat, part)[0]
+        return not reduce_mod(flat, part)[0]
 
     def leq(self, other: "DerivationSpace") -> bool:
         if self.n != other.n:
             raise ValueError("ambient widths differ")
         return all(
-            not reduce_sparse(row, other.part(par))[0]
+            not reduce_mod(row, other.part(par))[0]
             for par in (0, 1)
             for row in self.part(par).row_support
         )
@@ -212,8 +211,17 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
     # the nonzero (t, z_t[j]) of column j over the centre's basis z_0, z_1, ...
     cent_cols = [[(t, z[j]) for t, z in enumerate(cent) if z[j]] for j in range(n)]
 
-    def residues(d: Sequence[Fraction]) -> list[Fraction]:
-        return [x for j in range(n) for x in reduce_mod(d[j::n], derived)[0]]
+    def residues(d: tuple[tuple[int, Fraction], ...]) -> list[Fraction]:
+        """The residues of D(b_0), D(b_1), ... modulo [L, L] laid end to end."""
+        columns: dict[int, list] = {}
+        for f, x in d:
+            i, j = divmod(f, n)
+            columns.setdefault(j, []).append((i, x))
+        out = [ZERO] * (n * n)
+        for j, column in columns.items():
+            for k, x in reduce_mod(column, derived)[0].items():
+                out[j * n + k] = x
+        return out
 
     def central_images(d: tuple[tuple[int, Fraction], ...]) -> list[Fraction]:
         """D(z_0), D(z_1), ... laid end to end, from the nonzeros of D's flattening."""
@@ -227,7 +235,7 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
     id_parts, star_parts = [], []
     for parity in (0, 1):
         basis = der.part(parity)
-        id_part = _vanishing(basis, [residues(d) for d in basis.rows()])
+        id_part = _vanishing(basis, [residues(d) for d in basis.row_support])
         id_parts.append(id_part)
         star_parts.append(_vanishing(id_part, [central_images(d) for d in id_part.row_support]))
     return DerivationSpace(n, *id_parts), DerivationSpace(n, *star_parts)

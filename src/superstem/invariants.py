@@ -23,6 +23,7 @@ from .linalg import (
     EchelonBasis,
     echelon,
     kernel_basis,
+    mat_mul,
     matrix,
     membership,
     reduce_mod,
@@ -63,14 +64,9 @@ def _central_step_part(alg: LieSuperalgebra, z: GradedSubspace, parity: int) -> 
             support = alg.basis_bracket(offset + col, j)
             if not support:
                 continue
-            residue = [ZERO] * target.width
-            for k, c in support:
-                residue[k - t_offset] = c
-            if target.dim:
-                residue, _ = reduce_mod(residue, target)
-            for k, c in enumerate(residue):
-                if c:
-                    per_k.setdefault(k, [ZERO] * width)[col] = c
+            residue, _ = reduce_mod(((k - t_offset, c) for k, c in support), target)
+            for k, c in residue.items():
+                per_k.setdefault(k, [ZERO] * width)[col] = c
         rows.extend(per_k.values())
     return kernel_basis(matrix(rows, cols=width))
 
@@ -211,28 +207,15 @@ def proposition_audit(alg: LieSuperalgebra) -> PropositionAuditReport:
     return PropositionAuditReport(alg.name, derived_total, t, tuple(rungs))
 
 
-def _complement_rows(inner: EchelonBasis, outer: EchelonBasis) -> list:
-    """Rows of `outer` extending `inner` to a basis of span(outer)."""
-    ech = inner
+def _extend(ech: EchelonBasis, candidates) -> list:
+    """The candidates, in order, that are not in the span of ech and the
+    candidates kept before them."""
     added = []
-    for row in outer.rows():
-        if not membership(row, ech)[0]:
-            added.append(row)
-            ech = sum_spaces(ech, echelon([row], outer.width))
+    for v in candidates:
+        if not membership(v, ech)[0]:
+            added.append(v)
+            ech = sum_spaces(ech, echelon([v], ech.width))
     return added
-
-
-def _extend_by_units(ech: EchelonBasis) -> tuple[list, EchelonBasis]:
-    """Standard basis vectors extending span(ech) to the whole space."""
-    added = []
-    for i in range(ech.width):
-        if ech.dim == ech.width:
-            break
-        u = unit_vector(ech.width, i)
-        if not membership(u, ech)[0]:
-            added.append(u)
-            ech = sum_spaces(ech, echelon([u], ech.width))
-    return added, ech
 
 
 def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]:
@@ -246,14 +229,14 @@ def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]
     cent = center(alg)
     core_part = subspace_intersect(derived, cent)
 
-    a_even = _complement_rows(core_part.even, cent.even)
-    a_odd = _complement_rows(core_part.odd, cent.odd)
+    a_even = _extend(core_part.even, cent.even.rows())
+    a_odd = _extend(core_part.odd, cent.odd.rows())
 
     r, s = alg.sdim.even, alg.sdim.odd
     avoid_even = echelon(list(derived.even.rows()) + a_even, r)
     avoid_odd = echelon(list(derived.odd.rows()) + a_odd, s)
-    t_extra_even, _ = _extend_by_units(avoid_even)
-    t_extra_odd, _ = _extend_by_units(avoid_odd)
+    t_extra_even = _extend(avoid_even, (unit_vector(r, i) for i in range(r)))
+    t_extra_odd = _extend(avoid_odd, (unit_vector(s, i) for i in range(s)))
 
     t_space = GradedSubspace(
         echelon(list(derived.even.rows()) + t_extra_even, r),
@@ -285,16 +268,8 @@ def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]
 
     # centre of T must coincide with [L,L] n Z(L), mapped back into L
     zt = center(t_alg)
-    zt_rows_in_l = []
-    for row in full_rows(t_alg, zt):
-        acc = [ZERO] * alg.n
-        for c, bvec in zip(row, basis):
-            if c:
-                for idx, x in enumerate(bvec):
-                    if x:
-                        acc[idx] += c * x
-        zt_rows_in_l.append(tuple(acc))
-    if graded_span(alg, zt_rows_in_l) != core_part:
+    zt_in_l = mat_mul(matrix(full_rows(t_alg, zt), cols=t_alg.n), matrix(basis, cols=alg.n))
+    if graded_span(alg, zt_in_l.entries) != core_part:
         raise StemDecompositionError("centre of the stem part is off")
     return t_alg, pad
 

@@ -3,9 +3,14 @@
 Matrices are immutable tuples of Fraction rows and every operation is a
 pure function, so values can be shared freely between threads.  Spans are
 kept in reduced row echelon form, which makes equality of subspaces plain
-tuple equality.  Elimination is dense; reduction against a span walks a
-cached sparse view of its rows, the (column, value) pairs of their nonzero
-entries, and `reduce_sparse` takes its input in the same sparse form.
+tuple equality.
+
+There is one sparse kernel: a reduction loop over rows given by the
+(column, value) pairs of their nonzero entries.  Elimination inserts the
+rows of a matrix one at a time, reducing each against the rows kept so far
+and clearing its pivot from them; `reduce_mod` reduces one vector against
+the cached nonzeros of an echelon basis; kernels and intersections are
+eliminations of sparse rows built from an echelon form.
 """
 
 from __future__ import annotations
@@ -66,11 +71,6 @@ def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def transpose(m: Matrix) -> Matrix:
-    ents = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
-    return Matrix(m.cols, m.rows, ents)
-
-
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(v) != m.cols:
         raise ValueError("vector length does not match column count")
@@ -126,37 +126,65 @@ class EchelonBasis:
         return tuple(nonzeros(row) for row in self.matrix.entries)
 
 
+def _reduce(
+    work: dict[int, Fraction], rows: Iterable[tuple[int, Iterable[tuple[int, Fraction]]]]
+) -> list[Fraction]:
+    """Clear each (pivot, nonzeros) row's pivot from work, in place.
+
+    Returns the multiple of each row that was subtracted.  Entries that
+    cancel stay in work as zeros.
+    """
+    coords = []
+    for p, row in rows:
+        c = work.get(p, ZERO)
+        coords.append(c)
+        if c:
+            for j, x in row:
+                work[j] = work.get(j, ZERO) - c * x
+    return coords
+
+
+def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> dict[int, dict[int, Fraction]]:
+    """The reduced echelon form of a span, as {pivot: nonzeros of its row}.
+
+    Each row is reduced against the rows kept so far, scaled to a unit pivot
+    at its first nonzero column, and its pivot is cleared from the kept
+    rows.  Kept rows are zero in each other's pivots, so the order of the
+    reductions does not matter, and each row is zero left of its pivot.
+    """
+    kept: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        work = dict(row)
+        _reduce(work, [(p, kept[p].items()) for p in work.keys() & kept.keys()])
+        work = {j: x for j, x in work.items() if x}
+        if not work:
+            continue
+        q = min(work)
+        if work[q] != ONE:
+            inv = ONE / work[q]
+            work = {j: x * inv for j, x in work.items()}
+        for p, other in kept.items():
+            if q in other:
+                _reduce(other, ((q, work.items()),))
+                kept[p] = {j: x for j, x in other.items() if x}
+        kept[q] = work
+    return kept
+
+
+def _basis(kept: dict[int, dict[int, Fraction]], width: int) -> EchelonBasis:
+    pivots = tuple(sorted(kept))
+    ents = []
+    for p in pivots:
+        row = [ZERO] * width
+        for j, x in kept[p].items():
+            row[j] = x
+        ents.append(tuple(row))
+    return EchelonBasis(Matrix(len(ents), width, tuple(ents)), pivots)
+
+
 def rref(m: Matrix) -> EchelonBasis:
     """Reduced row echelon form with zero rows dropped."""
-    work = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    lead = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(lead, nrows):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[lead], work[pivot_row] = work[pivot_row], work[lead]
-        inv = ONE / work[lead][col]
-        if inv != ONE:
-            work[lead] = [x * inv for x in work[lead]]
-        for r in range(nrows):
-            if r != lead and work[r][col]:
-                factor = work[r][col]
-                row_r, row_l = work[r], work[lead]
-                for j in range(col, ncols):
-                    if row_l[j]:
-                        row_r[j] -= factor * row_l[j]
-        pivots.append(col)
-        lead += 1
-        if lead == nrows:
-            break
-    ents = tuple(tuple(work[i]) for i in range(len(pivots)))
-    return EchelonBasis(Matrix(len(pivots), ncols, ents), tuple(pivots))
+    return _basis(_eliminate(map(nonzeros, m.entries)), m.cols)
 
 
 def echelon(rows: Iterable[Sequence], width: int) -> EchelonBasis:
@@ -168,48 +196,26 @@ def empty_basis(width: int) -> EchelonBasis:
     return EchelonBasis(Matrix(0, width, ()), ())
 
 
-def reduce_mod(v: Sequence[Fraction], b: EchelonBasis) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Reduce v against an echelon basis.
-
-    Returns (residual, coords) with v == residual + coords . rows(b); the
-    residual is zero exactly when v lies in the span.
-    """
-    if len(v) != b.width:
-        raise ValueError("vector length does not match basis width")
-    work = [frac(x) for x in v]
-    coords = []
-    for row, p in zip(b.row_support, b.pivot_cols):
-        c = work[p]
-        coords.append(c)
-        if c:
-            for j, x in row:
-                work[j] -= c * x
-    return tuple(work), tuple(coords)
-
-
-def reduce_sparse(
+def reduce_mod(
     v: Iterable[tuple[int, Fraction]], b: EchelonBasis
 ) -> tuple[dict[int, Fraction], tuple[Fraction, ...]]:
-    """reduce_mod for a vector given by its (index, value) pairs.
+    """Reduce a vector, given by its (index, value) pairs, against an echelon basis.
 
-    Returns (residual, coords) with the residual as a dict of its nonzero
-    entries, so it is empty exactly when v lies in the span.
+    Returns (residual, coords) with v == residual + coords . rows(b) and the
+    residual as a dict of its nonzero entries, so it is empty exactly when v
+    lies in the span.
     """
     work = dict(v)
-    coords = []
-    for row, p in zip(b.row_support, b.pivot_cols):
-        c = work.get(p, ZERO)
-        coords.append(c)
-        if c:
-            for j, x in row:
-                work[j] = work.get(j, ZERO) - c * x
+    coords = _reduce(work, zip(b.pivot_cols, b.row_support))
     return {j: x for j, x in work.items() if x}, tuple(coords)
 
 
 def membership(v: Sequence[Fraction], b: EchelonBasis) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Decide whether v lies in span(b); on success return its coordinates."""
-    residual, coords = reduce_mod(v, b)
-    if any(residual):
+    if len(v) != b.width:
+        raise ValueError("vector length does not match basis width")
+    residual, coords = reduce_mod(nonzeros([frac(x) for x in v]), b)
+    if residual:
         return False, None
     return True, coords
 
@@ -217,47 +223,33 @@ def membership(v: Sequence[Fraction], b: EchelonBasis) -> tuple[bool, tuple[Frac
 def sum_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
     if a.width != b.width:
         raise ValueError("ambient widths differ")
-    return echelon(a.matrix.entries + b.matrix.entries, a.width)
+    return _basis(_eliminate(a.row_support + b.row_support), a.width)
 
 
 def kernel_basis(m: Matrix) -> EchelonBasis:
     """Echelonized basis of the right null space {x : m x = 0}."""
     e = rref(m)
-    pivot_set = set(e.pivot_cols)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for t, p in enumerate(e.pivot_cols):
-            coeff = e.matrix.entries[t][f]
-            if coeff:
-                v[p] = -coeff
-        vectors.append(v)
-    return echelon(vectors, m.cols)
+    # the kernel vector of free column f is e_f - sum over pivots p of
+    # row_p[f] e_p
+    pivots = set(e.pivot_cols)
+    vectors = {f: {f: ONE} for f in range(m.cols) if f not in pivots}
+    for p, row in zip(e.pivot_cols, e.row_support):
+        for f, x in row:
+            if f != p:
+                vectors[f][p] = -x
+    return _basis(_eliminate(v.items() for v in vectors.values()), m.cols)
 
 
 def intersect_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
-    """Intersection via the kernel of the stacked-generator matrix.
+    """Intersection by one elimination of [a | a] stacked over [b | 0].
 
-    A relation x . rows(a) + y . rows(b) = 0 makes x . rows(a) an element
-    of both spans, and all such elements arise this way.
+    The rows of the result whose left half is zero are the (0, x . rows(a))
+    with x . rows(a) = -y . rows(b), so their right halves are an echelon
+    basis of the intersection.
     """
     if a.width != b.width:
         raise ValueError("ambient widths differ")
-    if a.dim == 0 or b.dim == 0:
-        return empty_basis(a.width)
-    stacked = matrix(a.matrix.entries + b.matrix.entries, cols=a.width)
-    rel = kernel_basis(transpose(stacked))
-    vectors = []
-    for row in rel.matrix.entries:
-        x = row[: a.dim]
-        vec = [ZERO] * a.width
-        for coeff, gen in zip(x, a.matrix.entries):
-            if coeff:
-                for j, g in enumerate(gen):
-                    if g:
-                        vec[j] += coeff * g
-        vectors.append(vec)
-    return echelon(vectors, a.width)
-
+    w = a.width
+    stacked = [row + tuple((j + w, x) for j, x in row) for row in a.row_support]
+    kept = _eliminate(stacked + list(b.row_support))
+    return _basis({p - w: {j - w: x for j, x in row.items()} for p, row in kept.items() if p >= w}, w)

@@ -65,7 +65,7 @@ def test_table_verification_is_exact():
 
 
 def test_classification_verification():
-    report = verify_classification(max_pad=2)
+    report = verify_classification()
     assert report.ok
     assert len(report.checks) > 100
     described = {c.description for c in report.checks}
