@@ -16,12 +16,15 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     EchelonBasis,
+    Matrix,
+    ONE,
     ZERO,
     echelon,
     empty_basis,
     frac,
     intersect_spaces,
     membership,
+    reduce_mod,
     sum_spaces,
 )
 
@@ -124,7 +127,7 @@ class LieSuperalgebra:
         return (ZERO,) * self.n
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(frac(1) if j == i else ZERO for j in range(self.n))
+        return tuple(ONE if j == i else ZERO for j in range(self.n))
 
 
 def vector_parity(alg: LieSuperalgebra, v: Sequence[Fraction]) -> int | None:
@@ -241,14 +244,6 @@ def split_vector(alg: LieSuperalgebra, v: Sequence[Fraction]) -> tuple[tuple[Fra
     return tuple(frac(x) for x in v[:r]), tuple(frac(x) for x in v[r:])
 
 
-def embed_even(alg: LieSuperalgebra, part: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(part) + (ZERO,) * alg.sdim.odd
-
-
-def embed_odd(alg: LieSuperalgebra, part: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return (ZERO,) * alg.sdim.even + tuple(part)
-
-
 def graded_span(alg: LieSuperalgebra, vectors: Iterable[Sequence[Fraction]]) -> GradedSubspace:
     """Span of homogeneous vectors, split by parity and echelonized."""
     even_rows, odd_rows = [], []
@@ -282,13 +277,21 @@ def subspace_contains(alg: LieSuperalgebra, space: GradedSubspace, v: Sequence[F
 
 def subspace_leq(a: GradedSubspace, b: GradedSubspace) -> bool:
     """Whether a is contained in b, partwise."""
-    return all(membership(row, b.even)[0] for row in a.even.rows()) and all(
-        membership(row, b.odd)[0] for row in a.odd.rows()
-    )
+    pairs = ((a.even, b.even), (a.odd, b.odd))
+    return all(not reduce_mod(row, big)[0] for small, big in pairs for row in small.matrix.support)
+
+
+def full_basis(alg: LieSuperalgebra, space: GradedSubspace) -> EchelonBasis:
+    """The subspace as one echelon basis of width n: the even rows, then the
+    odd rows shifted past the even coordinates.  The two parts share no
+    column, so the stacked rows are already in reduced echelon form."""
+    r = alg.sdim.even
+    odd = tuple(tuple((r + j, x) for j, x in row) for row in space.odd.matrix.support)
+    return EchelonBasis(
+        Matrix(space.sdim.total, alg.n, space.even.matrix.support + odd),
+        space.even.pivot_cols + tuple(r + p for p in space.odd.pivot_cols))
 
 
 def full_rows(alg: LieSuperalgebra, space: GradedSubspace) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of the subspace as full-width vectors, even rows first."""
-    rows = [embed_even(alg, r) for r in space.even.rows()]
-    rows += [embed_odd(alg, r) for r in space.odd.rows()]
-    return tuple(rows)
+    return full_basis(alg, space).rows()

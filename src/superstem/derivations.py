@@ -6,21 +6,20 @@ coefficient of basis vector i in D(basis vector j), so only positions with
 parity(i) = parity(j) + alpha can be nonzero.  Spaces are stored as echelon
 bases in the row-major flattening of the full n x n matrix.
 
-A map also keeps the nonzero (column, value) pairs of each row, and an
-echelon basis those of its rows, both computed on first use.  Applying a
-map, brackets of maps, membership in a space, containment of spaces and the
-images of the centre work on these pairs alone, so their cost follows the
-nonzeros rather than n^2.
+Maps and echelon bases are Matrix values, which store only the nonzero
+(column, value) pairs of each row.  The law rows, applying a map, brackets
+of maps, membership in a space, containment of spaces and the images of the
+centre are built from and work on these pairs alone, so their cost follows
+the nonzeros rather than n^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
-from .core import LieSuperalgebra, SuperDim, full_rows
+from .core import LieSuperalgebra, SuperDim, full_basis
 from .invariants import (
     InvariantReport,
     _nilpotent_report,
@@ -33,12 +32,12 @@ from .linalg import (
     Matrix,
     ONE,
     ZERO,
-    echelon,
     kernel_basis,
     matrix,
     mat_mul,
-    nonzeros,
     reduce_mod,
+    rref,
+    sparse_matrix,
 )
 
 
@@ -47,15 +46,10 @@ class GradedLinearMap:
     parity: int
     matrix: Matrix
 
-    @cached_property
-    def _support(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """The nonzero (column, value) pairs of each row."""
-        return tuple(nonzeros(row) for row in self.matrix.entries)
-
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.matrix.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum([x * v[j] for j, x in row if v[j]], ZERO) for row in self._support)
+        return tuple(sum([x * v[j] for j, x in row if v[j]], ZERO) for row in self.matrix.support)
 
 
 def flatten_map(m: GradedLinearMap) -> tuple[Fraction, ...]:
@@ -63,8 +57,7 @@ def flatten_map(m: GradedLinearMap) -> tuple[Fraction, ...]:
 
 
 def unflatten_map(row: Sequence[Fraction], n: int, parity: int) -> GradedLinearMap:
-    ents = tuple(tuple(row[i * n + j] for j in range(n)) for i in range(n))
-    return GradedLinearMap(parity, Matrix(n, n, ents))
+    return GradedLinearMap(parity, matrix([row[i * n:(i + 1) * n] for i in range(n)], cols=n))
 
 
 @dataclass(frozen=True)
@@ -81,15 +74,22 @@ class DerivationSpace:
         return self.even_part if parity == 0 else self.odd_part
 
     def maps(self, parity: int) -> tuple[GradedLinearMap, ...]:
-        basis = self.part(parity)
-        return tuple(unflatten_map(row, self.n, parity) for row in basis.rows())
+        n = self.n
+        out = []
+        for flat in self.part(parity).matrix.support:
+            rows: list[list] = [[] for _ in range(n)]
+            for f, x in flat:
+                i, j = divmod(f, n)
+                rows[i].append((j, x))
+            out.append(GradedLinearMap(parity, Matrix(n, n, tuple(map(tuple, rows)))))
+        return tuple(out)
 
     def contains(self, m: GradedLinearMap) -> bool:
         part = self.part(m.parity)
         cols = m.matrix.cols
         if m.matrix.rows * cols != part.width:
             raise ValueError("vector length does not match basis width")
-        flat = ((i * cols + j, x) for i, row in enumerate(m._support) for j, x in row)
+        flat = ((i * cols + j, x) for i, row in enumerate(m.matrix.support) for j, x in row)
         return not reduce_mod(flat, part)[0]
 
     def leq(self, other: "DerivationSpace") -> bool:
@@ -98,7 +98,7 @@ class DerivationSpace:
         return all(
             not reduce_mod(row, other.part(par))[0]
             for par in (0, 1)
-            for row in self.part(par).row_support
+            for row in self.part(par).matrix.support
         )
 
 
@@ -112,33 +112,26 @@ def _allowed_positions(alg: LieSuperalgebra, parity: int) -> list[tuple[int, int
 
 
 def _embed_echelon(e: EchelonBasis, positions: list[tuple[int, int]], n: int) -> EchelonBasis:
-    # scattering restricted columns into the n^2 flattening preserves RREF
+    # remapping restricted columns into the n^2 flattening preserves RREF
     # because the position list is increasing in row-major order
-    full = []
-    for row in e.rows():
-        vec = [ZERO] * (n * n)
-        for (i, j), x in zip(positions, row):
-            if x:
-                vec[i * n + j] = x
-        full.append(tuple(vec))
-    pivots = tuple(positions[p][0] * n + positions[p][1] for p in e.pivot_cols)
-    return EchelonBasis(Matrix(len(full), n * n, tuple(full)), pivots)
+    flat = [i * n + j for i, j in positions]
+    support = tuple(tuple((flat[t], x) for t, x in row) for row in e.matrix.support)
+    return EchelonBasis(Matrix(e.dim, n * n, support), tuple(flat[p] for p in e.pivot_cols))
 
 
-def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[list[Fraction]]:
+def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[dict[int, Fraction]]:
     n = alg.n
-    width = len(pos_index)
     rows = []
     for a in range(n):
         pa = alg.parity(a)
         sign = -ONE if (parity * pa) % 2 else ONE
         for b in range(a, n):
             target_parity = (pa + alg.parity(b) + parity) % 2
-            per_m: dict[int, list] = {}
+            per_m: dict[int, dict[int, Fraction]] = {}
 
             def bump(m: int, i: int, j: int, c: Fraction) -> None:
-                row = per_m.setdefault(m, [ZERO] * width)
-                row[pos_index[i, j]] += c
+                row, t = per_m.setdefault(m, {}), pos_index[i, j]
+                row[t] = row.get(t, ZERO) + c
 
             for k, c in alg.basis_bracket(a, b):
                 for m in range(n):
@@ -154,7 +147,7 @@ def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[list[F
                     continue
                 for m, c in alg.basis_bracket(a, i):
                     bump(m, i, b, -sign * c)
-            rows.extend(row for row in per_m.values() if any(row))
+            rows.extend(row for row in per_m.values() if any(row.values()))
     return rows
 
 
@@ -162,7 +155,7 @@ def _solve(alg: LieSuperalgebra, parity: int) -> EchelonBasis:
     positions = _allowed_positions(alg, parity)
     pos_index = {pos: t for t, pos in enumerate(positions)}
     rows = _law_rows(alg, parity, pos_index)
-    return _embed_echelon(kernel_basis(matrix(rows, cols=len(positions))), positions, alg.n)
+    return _embed_echelon(kernel_basis(sparse_matrix(rows, len(positions))), positions, alg.n)
 
 
 def derivation_space(alg: LieSuperalgebra) -> DerivationSpace:
@@ -175,25 +168,26 @@ def inner_derivations(alg: LieSuperalgebra) -> DerivationSpace:
     n = alg.n
     flats: dict[int, list] = {0: [], 1: []}
     for i in range(n):
-        vec = [ZERO] * (n * n)
-        for j in range(n):
-            for k, c in alg.basis_bracket(i, j):
-                vec[k * n + j] = c
-        flats[alg.parity(i)].append(vec)
-    return DerivationSpace(n, echelon(flats[0], n * n), echelon(flats[1], n * n))
+        flats[alg.parity(i)].append(
+            {k * n + j: c for j in range(n) for k, c in alg.basis_bracket(i, j)})
+    return DerivationSpace(n, *(rref(sparse_matrix(flats[p], n * n)) for p in (0, 1)))
 
 
-def _vanishing(basis: EchelonBasis, values: list[list[Fraction]]) -> EchelonBasis:
+def _vanishing(basis: EchelonBasis, values: list[dict[int, Fraction]]) -> EchelonBasis:
     """The elements of span(basis) on which some linear conditions vanish.
 
-    values[k] lists the conditions evaluated on the k-th basis row, so the
-    kernel of the (conditions x dim) matrix holds the coefficients of the
-    combinations that satisfy them.  Kernel and basis are both in RREF, so
-    coefficients times basis is already the RREF of the subspace: its pivots
-    are the basis pivots that the kernel's pivots pick.
+    values[k] maps each condition that is nonzero on the k-th basis row to
+    its value there, so the kernel of the (conditions x dim) matrix holds
+    the coefficients of the combinations that satisfy them.  Kernel and
+    basis are both in RREF, so coefficients times basis is already the RREF
+    of the subspace: its pivots are the basis pivots that the kernel's
+    pivots pick.
     """
-    conditions = [c for c in zip(*values) if any(c)]
-    coeffs = kernel_basis(matrix(conditions, cols=basis.dim))
+    conditions: dict[int, dict[int, Fraction]] = {}
+    for k, row in enumerate(values):
+        for c, x in row.items():
+            conditions.setdefault(c, {})[k] = x
+    coeffs = kernel_basis(sparse_matrix([conditions[c] for c in sorted(conditions)], basis.dim))
     pivots = tuple(basis.pivot_cols[k] for k in coeffs.pivot_cols)
     return EchelonBasis(mat_mul(coeffs.matrix, basis.matrix), pivots)
 
@@ -206,38 +200,35 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
     cut from ID by the images of a basis of the centre.
     """
     n = alg.n
-    derived = echelon(full_rows(alg, derived_subalgebra(alg)), n)
-    cent = full_rows(alg, center(alg))
-    # the nonzero (t, z_t[j]) of column j over the centre's basis z_0, z_1, ...
-    cent_cols = [[(t, z[j]) for t, z in enumerate(cent) if z[j]] for j in range(n)]
+    derived = full_basis(alg, derived_subalgebra(alg))
+    # the centre's basis z_0, z_1, ... as {j: z_t[j]} over its nonzeros
+    cent = [dict(z) for z in full_basis(alg, center(alg)).matrix.support]
 
-    def residues(d: tuple[tuple[int, Fraction], ...]) -> list[Fraction]:
+    def residues(d: tuple[tuple[int, Fraction], ...]) -> dict[int, Fraction]:
         """The residues of D(b_0), D(b_1), ... modulo [L, L] laid end to end."""
         columns: dict[int, list] = {}
         for f, x in d:
             i, j = divmod(f, n)
             columns.setdefault(j, []).append((i, x))
-        out = [ZERO] * (n * n)
-        for j, column in columns.items():
-            for k, x in reduce_mod(column, derived)[0].items():
-                out[j * n + k] = x
-        return out
+        return {j * n + k: x for j, column in columns.items()
+                for k, x in reduce_mod(column, derived)[0].items()}
 
-    def central_images(d: tuple[tuple[int, Fraction], ...]) -> list[Fraction]:
+    def central_images(d: tuple[tuple[int, Fraction], ...]) -> dict[int, Fraction]:
         """D(z_0), D(z_1), ... laid end to end, from the nonzeros of D's flattening."""
-        out = [ZERO] * (len(cent) * n)
+        out: dict[int, Fraction] = {}
         for f, x in d:
             i, j = divmod(f, n)
-            for t, z in cent_cols[j]:
-                out[t * n + i] += x * z
-        return out
+            for t, z in enumerate(cent):
+                if j in z:
+                    out[t * n + i] = out.get(t * n + i, ZERO) + x * z[j]
+        return {k: x for k, x in out.items() if x}
 
     id_parts, star_parts = [], []
     for parity in (0, 1):
         basis = der.part(parity)
-        id_part = _vanishing(basis, [residues(d) for d in basis.row_support])
+        id_part = _vanishing(basis, [residues(d) for d in basis.matrix.support])
         id_parts.append(id_part)
-        star_parts.append(_vanishing(id_part, [central_images(d) for d in id_part.row_support]))
+        star_parts.append(_vanishing(id_part, [central_images(d) for d in id_part.matrix.support]))
     return DerivationSpace(n, *id_parts), DerivationSpace(n, *star_parts)
 
 
@@ -259,18 +250,18 @@ def der_bracket(d: GradedLinearMap, e: GradedLinearMap) -> GradedLinearMap:
     if (d.matrix.cols, e.matrix.rows, e.matrix.cols) != (n, n, n):
         raise ValueError("maps must be square and of the same size")
     both_odd = (d.parity * e.parity) % 2
-    ds, es = d._support, e._support
-    out = [[ZERO] * n for _ in range(n)]
-    for i, orow in enumerate(out):
+    ds, es = d.matrix.support, e.matrix.support
+    out: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for i, acc in enumerate(out):
         for k, x in ds[i]:
             for j, y in es[k]:
-                orow[j] += x * y
+                acc[j] = acc.get(j, ZERO) + x * y
         for k, y in es[i]:
             if not both_odd:
                 y = -y
             for j, x in ds[k]:
-                orow[j] += y * x
-    return GradedLinearMap((d.parity + e.parity) % 2, Matrix(n, n, tuple(map(tuple, out))))
+                acc[j] = acc.get(j, ZERO) + y * x
+    return GradedLinearMap((d.parity + e.parity) % 2, sparse_matrix(out, n))
 
 
 @dataclass(frozen=True)

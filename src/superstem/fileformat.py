@@ -78,6 +78,10 @@ class AlgebraFile:
     relations: tuple[tuple[str, str, tuple[tuple[Fraction, str], ...], int], ...]
 
 
+# The most basis names a file may declare.  The algebra is built with a dense
+# n x n x n structure tensor, so larger files are refused before it exists.
+MAX_BASIS = 128
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEADER_RE = re.compile(r'^algebra\s+"([^"]*)"\s*$')
 _RELATION_RE = re.compile(r"^\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.*\S)\s*$")
@@ -169,6 +173,8 @@ def parse_file(text: str) -> AlgebraFile:
             if nm in declared:
                 raise FormatSyntaxError(f"basis name {nm!r} declared twice", lineno, 1)
             declared.append(nm)
+            if len(declared) > MAX_BASIS:
+                raise AlgebraFormatError(f"more than {MAX_BASIS} basis names", lineno)
         parts.append(tuple(names))
     even_names, odd_names = parts
 

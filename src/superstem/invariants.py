@@ -11,6 +11,7 @@ from .core import (
     GradedSubspace,
     LieSuperalgebra,
     SuperDim,
+    full_basis,
     full_rows,
     graded_span,
     subspace_intersect,
@@ -19,7 +20,6 @@ from .core import (
     zero_subspace,
 )
 from .linalg import (
-    ZERO,
     EchelonBasis,
     echelon,
     kernel_basis,
@@ -27,6 +27,7 @@ from .linalg import (
     matrix,
     membership,
     reduce_mod,
+    sparse_matrix,
     sum_spaces,
     unit_vector,
 )
@@ -59,16 +60,16 @@ def _central_step_part(alg: LieSuperalgebra, z: GradedSubspace, parity: int) -> 
     rows = []
     for j in range(alg.n):
         target, t_offset = (z.even, 0) if (parity + alg.parity(j)) % 2 == 0 else (z.odd, r)
-        per_k: dict[int, list] = {}
+        per_k: dict[int, dict] = {}
         for col in range(width):
             support = alg.basis_bracket(offset + col, j)
             if not support:
                 continue
             residue, _ = reduce_mod(((k - t_offset, c) for k, c in support), target)
             for k, c in residue.items():
-                per_k.setdefault(k, [ZERO] * width)[col] = c
+                per_k.setdefault(k, {})[col] = c
         rows.extend(per_k.values())
-    return kernel_basis(matrix(rows, cols=width))
+    return kernel_basis(sparse_matrix(rows, width))
 
 
 def _central_step(alg: LieSuperalgebra, z: GradedSubspace) -> GradedSubspace:
@@ -268,7 +269,7 @@ def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]
 
     # centre of T must coincide with [L,L] n Z(L), mapped back into L
     zt = center(t_alg)
-    zt_in_l = mat_mul(matrix(full_rows(t_alg, zt), cols=t_alg.n), matrix(basis, cols=alg.n))
+    zt_in_l = mat_mul(full_basis(t_alg, zt).matrix, matrix(basis, cols=alg.n))
     if graded_span(alg, zt_in_l.entries) != core_part:
         raise StemDecompositionError("centre of the stem part is off")
     return t_alg, pad

@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable tuples of Fraction rows and every operation is a
-pure function, so values can be shared freely between threads.  Spans are
-kept in reduced row echelon form, which makes equality of subspaces plain
-tuple equality.
+A Matrix stores only the nonzero (column, value) pairs of each row, in
+column order, so equality of matrices is dataclass equality; its dense rows
+are a view built on request.  Every operation is a pure function, so values
+can be shared freely between threads.  Spans are kept in reduced row echelon
+form, which makes equality of subspaces plain tuple equality.
 
 There is one sparse kernel: a reduction loop over rows given by the
 (column, value) pairs of their nonzero entries.  Elimination inserts the
 rows of a matrix one at a time, reducing each against the rows kept so far
 and clearing its pivot from them; `reduce_mod` reduces one vector against
-the cached nonzeros of an echelon basis; kernels and intersections are
+the stored rows of an echelon basis; kernels and intersections are
 eliminations of sparse rows built from an echelon form.
 """
 
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
+Row = tuple[tuple[int, Fraction], ...]
 
 
 def frac(value) -> Fraction:
@@ -34,30 +35,44 @@ def frac(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
+    """A rows x cols matrix held as each row's nonzero (column, value) pairs,
+    in increasing column order; no stored value is zero."""
+
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    support: tuple[Row, ...]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows, filled with the shared ZERO and built on each call."""
+        dense = [[ZERO] * self.cols for _ in self.support]
+        for out, row in zip(dense, self.support):
+            for j, x in row:
+                out[j] = x
+        return tuple(map(tuple, dense))
 
 
 def matrix(rows: Iterable[Sequence], cols: int | None = None) -> Matrix:
-    """Build a Matrix from an iterable of rows, coercing entries to Fraction."""
-    ents = tuple(tuple(frac(x) for x in r) for r in rows)
-    if ents:
-        width = len(ents[0])
-        if any(len(r) != width for r in ents):
+    """Build a Matrix from dense rows, coercing entries to Fraction and dropping zeros."""
+    rows = [[frac(x) for x in r] for r in rows]
+    if rows:
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
         if cols is not None and cols != width:
             raise ValueError(f"expected {cols} columns, rows have {width}")
         cols = width
     elif cols is None:
         raise ValueError("an empty matrix needs an explicit column count")
-    return Matrix(len(ents), cols, ents)
+    return Matrix(len(rows), cols, tuple(map(nonzeros, rows)))
 
 
-def nonzeros(row: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
+def sparse_matrix(rows: Sequence[Mapping[int, Fraction]], cols: int) -> Matrix:
+    """Build a Matrix from rows given as {column: value} dicts, dropping zeros."""
+    return Matrix(len(rows), cols, tuple(tuple(sorted((j, x) for j, x in r.items() if x)) for r in rows))
+
+
+def nonzeros(row: Sequence[Fraction]) -> Row:
     """(index, value) of each nonzero entry of row, in index order.
 
     Entries that are the shared ZERO are skipped by identity, which is much
@@ -87,15 +102,12 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError("inner dimensions do not match")
-    out = [[ZERO] * b.cols for _ in range(a.rows)]
-    for i, arow in enumerate(a.entries):
-        orow = out[i]
-        for k, x in enumerate(arow):
-            if x:
-                for j, y in enumerate(b.entries[k]):
-                    if y:
-                        orow[j] += x * y
-    return Matrix(a.rows, b.cols, tuple(tuple(r) for r in out))
+    out: list[dict[int, Fraction]] = [{} for _ in a.support]
+    for arow, acc in zip(a.support, out):
+        for k, x in arow:
+            for j, y in b.support[k]:
+                acc[j] = acc.get(j, ZERO) + x * y
+    return sparse_matrix(out, b.cols)
 
 
 @dataclass(frozen=True)
@@ -119,11 +131,6 @@ class EchelonBasis:
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.matrix.entries
-
-    @cached_property
-    def row_support(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """The nonzero (column, value) pairs of each row."""
-        return tuple(nonzeros(row) for row in self.matrix.entries)
 
 
 def _reduce(
@@ -173,18 +180,12 @@ def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> dict[int, dict
 
 def _basis(kept: dict[int, dict[int, Fraction]], width: int) -> EchelonBasis:
     pivots = tuple(sorted(kept))
-    ents = []
-    for p in pivots:
-        row = [ZERO] * width
-        for j, x in kept[p].items():
-            row[j] = x
-        ents.append(tuple(row))
-    return EchelonBasis(Matrix(len(ents), width, tuple(ents)), pivots)
+    return EchelonBasis(sparse_matrix([kept[p] for p in pivots], width), pivots)
 
 
 def rref(m: Matrix) -> EchelonBasis:
     """Reduced row echelon form with zero rows dropped."""
-    return _basis(_eliminate(map(nonzeros, m.entries)), m.cols)
+    return _basis(_eliminate(m.support), m.cols)
 
 
 def echelon(rows: Iterable[Sequence], width: int) -> EchelonBasis:
@@ -206,7 +207,7 @@ def reduce_mod(
     lies in the span.
     """
     work = dict(v)
-    coords = _reduce(work, zip(b.pivot_cols, b.row_support))
+    coords = _reduce(work, zip(b.pivot_cols, b.matrix.support))
     return {j: x for j, x in work.items() if x}, tuple(coords)
 
 
@@ -223,7 +224,7 @@ def membership(v: Sequence[Fraction], b: EchelonBasis) -> tuple[bool, tuple[Frac
 def sum_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
     if a.width != b.width:
         raise ValueError("ambient widths differ")
-    return _basis(_eliminate(a.row_support + b.row_support), a.width)
+    return _basis(_eliminate(a.matrix.support + b.matrix.support), a.width)
 
 
 def kernel_basis(m: Matrix) -> EchelonBasis:
@@ -233,7 +234,7 @@ def kernel_basis(m: Matrix) -> EchelonBasis:
     # row_p[f] e_p
     pivots = set(e.pivot_cols)
     vectors = {f: {f: ONE} for f in range(m.cols) if f not in pivots}
-    for p, row in zip(e.pivot_cols, e.row_support):
+    for p, row in zip(e.pivot_cols, e.matrix.support):
         for f, x in row:
             if f != p:
                 vectors[f][p] = -x
@@ -250,6 +251,6 @@ def intersect_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
     if a.width != b.width:
         raise ValueError("ambient widths differ")
     w = a.width
-    stacked = [row + tuple((j + w, x) for j, x in row) for row in a.row_support]
-    kept = _eliminate(stacked + list(b.row_support))
+    stacked = [row + tuple((j + w, x) for j, x in row) for row in a.matrix.support]
+    kept = _eliminate(stacked + list(b.matrix.support))
     return _basis({p - w: {j - w: x for j, x in row.items()} for p, row in kept.items() if p >= w}, w)

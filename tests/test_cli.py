@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import superstem.cli
 from superstem.cli import main
 from superstem.fileformat import parse
 
@@ -41,6 +42,24 @@ def test_validate_lawless_exits_two(lawless_file, capsys):
 def test_missing_file_is_user_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.alg")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_oversized_basis_is_user_error(tmp_path, capsys):
+    path = tmp_path / "big.alg"
+    path.write_text('algebra "big"\neven: ' + " ".join(f"e{i}" for i in range(129)) + "\nodd:\n",
+                    encoding="utf-8")
+    assert main(["invariants", str(path)]) == 1
+    assert "more than 128 basis names (line 2)" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser(monkeypatch, good_file, capsys):
+    def refuse():
+        raise AssertionError("parser built per call")
+
+    monkeypatch.setattr(superstem.cli, "build_parser", refuse)
+    assert main(["validate", good_file]) == 0
+    assert main(["catalog", "list"]) == 0
+    assert main(["classify", "--st", "1", "--sdim", "3,3"]) == 1
 
 
 def test_syntax_error_is_user_error(tmp_path, capsys):

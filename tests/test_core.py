@@ -12,7 +12,7 @@ from superstem.core import (
     validate,
     vector_parity,
 )
-from superstem.linalg import frac
+from superstem.linalg import ONE, ZERO, frac
 
 rationals = strat.fractions(max_denominator=4).map(frac)
 
@@ -24,6 +24,13 @@ def test_superdim_arithmetic():
     assert a.total == 4
     assert str(a) == "(3|1)"
     assert tuple(a) == (3, 1)
+
+
+def test_basis_vector_uses_shared_scalars():
+    alg = get("(2|2)_6").algebra
+    for i in range(alg.n):
+        v = alg.basis_vector(i)
+        assert all(x is (ONE if j == i else ZERO) for j, x in enumerate(v))
 
 
 def test_superdim_partial_order():

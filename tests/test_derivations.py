@@ -16,7 +16,7 @@ from superstem.derivations import (
     unflatten_map,
 )
 from superstem.invariants import center, derived_subalgebra
-from superstem.linalg import Matrix, frac
+from superstem.linalg import frac, matrix
 
 
 def assert_is_derivation(alg, m: GradedLinearMap) -> None:
@@ -139,7 +139,7 @@ def test_inner_derivations_are_adjoint_maps():
             tuple(alg.bracket(alg.basis_vector(i), alg.basis_vector(j))[k] for j in range(alg.n))
             for k in range(alg.n)
         )
-        ad_i = GradedLinearMap(alg.parity(i), Matrix(alg.n, alg.n, cols))
+        ad_i = GradedLinearMap(alg.parity(i), matrix(cols, cols=alg.n))
         assert inner.contains(ad_i)
         assert_is_derivation(alg, ad_i)
 
@@ -170,7 +170,7 @@ def test_idstar_bound_tight_and_slack_cases():
 
 
 def test_graded_linear_map_apply_and_flatten_roundtrip():
-    m = GradedLinearMap(0, Matrix(2, 2, ((frac(1), frac(2)), (frac(0), frac(3)))))
+    m = GradedLinearMap(0, matrix(((frac(1), frac(2)), (frac(0), frac(3))), cols=2))
     assert m.apply((frac(1), frac(1))) == (frac(3), frac(3))
     flat = flatten_map(m)
     assert flat == (frac(1), frac(2), frac(0), frac(3))

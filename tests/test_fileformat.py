@@ -7,6 +7,8 @@ from hypothesis import strategies as strat
 from superstem.build import algebra_from_relations, heisenberg_even, heisenberg_odd, tower
 from superstem.catalog import get, names
 from superstem.fileformat import (
+    MAX_BASIS,
+    AlgebraFormatError,
     BadRationalError,
     ConflictingRelationError,
     DuplicateRelationError,
@@ -117,6 +119,21 @@ def test_duplicate_basis_declaration():
         parse_file('algebra "x"\neven: e1 e1\nodd:\n')
     with pytest.raises(FormatSyntaxError):
         parse_file('algebra "x"\neven: e1\nodd: e1\n')
+
+
+def declaring(even, odd):
+    return 'algebra "big"\neven: %s\nodd: %s\n' % (
+        " ".join(f"e{i}" for i in range(even)), " ".join(f"o{i}" for i in range(odd)))
+
+
+def test_basis_size_limit():
+    assert MAX_BASIS == 128
+    assert len(parse_file(declaring(100, 28)).even_names) == 100
+    assert len(parse_file(declaring(128, 0)).even_names) == 128
+    for even, odd, line in ((100, 29, 3), (129, 0, 2), (0, 129, 3)):
+        with pytest.raises(AlgebraFormatError) as info:
+            parse_file(declaring(even, odd))
+        assert info.value.line == line and "128" in str(info.value)
 
 
 def test_conflicting_mirror_orientations():

@@ -1,8 +1,9 @@
 """The exact elimination kernel against an independent implementation.
 
-`rref`, `kernel_basis` and `intersect_spaces` are checked against sympy's
-`DomainMatrix` over QQ, which shares no code with superstem, on hypothesis
-matrices and on the Der systems (`_law_rows`) of the catalog entries.
+`rref`, `kernel_basis`, `intersect_spaces` and `mat_mul` are checked
+against sympy's `DomainMatrix` over QQ, which shares no code with
+superstem, on hypothesis matrices and on the Der systems (`_law_rows`) of
+the catalog entries.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as strat
 from superstem.catalog import entries
 from superstem.derivations import _allowed_positions, _law_rows
 from superstem.invariants import center, derived_subalgebra
-from superstem.linalg import intersect_spaces, kernel_basis, matrix, rref
+from superstem.linalg import intersect_spaces, kernel_basis, mat_mul, matrix, rref, sparse_matrix
 
 QQ = pytest.importorskip("sympy").QQ
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -79,13 +80,28 @@ def test_intersection_matches_sympy(pair):
     check_intersection(rref(pair[0]), rref(pair[1]))
 
 
+def shaped_matrices(rows, cols):
+    return strat.lists(strat.lists(rationals, min_size=cols, max_size=cols),
+                       min_size=rows, max_size=rows).map(lambda ents: matrix(ents, cols=cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strat.tuples(*[strat.integers(0, 6)] * 3).flatmap(
+    lambda s: strat.tuples(shaped_matrices(s[0], s[1]), shaped_matrices(s[1], s[2]))))
+def test_mat_mul_matches_sympy(pair):
+    a, b = pair
+    prod = mat_mul(a, b)
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod.entries == fractions(domain(a.entries, a.cols) * domain(b.entries, b.cols), a.rows)
+
+
 @pytest.mark.parametrize("entry", entries(), ids=lambda e: e.name)
 def test_der_systems_match_sympy(entry):
     alg = entry.algebra
     for parity in (0, 1):
         positions = _allowed_positions(alg, parity)
         rows = _law_rows(alg, parity, {pos: t for t, pos in enumerate(positions)})
-        m = matrix(rows, cols=len(positions))
+        m = sparse_matrix(rows, len(positions))
         check_rref(m)
         check_kernel(m)
         kernel = kernel_basis(m)

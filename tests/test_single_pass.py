@@ -228,7 +228,9 @@ def stacked_id_star(alg):
     def solve(parity, kill):
         positions = _allowed_positions(alg, parity)
         pos_index = {pos: t for t, pos in enumerate(positions)}
-        rows = _law_rows(alg, parity, pos_index) + image_rows(parity, pos_index)
+        law = _law_rows(alg, parity, pos_index)
+        rows = [[row.get(t, 0) for t in range(len(positions))] for row in law]
+        rows += image_rows(parity, pos_index)
         if kill:
             rows += kill_rows(parity, pos_index)
         return _embed_echelon(kernel_basis(matrix(rows, cols=len(positions))), positions, n)

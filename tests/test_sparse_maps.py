@@ -6,8 +6,9 @@ pairs of maps and echelon rows.  The references are the dense versions:
 `mat_vec` for apply, and test-local copies of two full matrix products and
 an entrywise combine for the bracket, and of a reduction of the n^2-wide
 flattening over every column for membership.
-Zeros are skipped by identity with the shared ZERO first, so the
-robustness tests feed in zeros that are other Fraction(0) objects.
+`matrix()` drops zeros by identity with the shared ZERO first and then by
+value, so the robustness tests feed it dense rows whose zeros are other
+Fraction(0) objects.
 """
 
 from fractions import Fraction
@@ -21,16 +22,19 @@ from superstem.derivations import (
     GradedLinearMap,
     _allowed_positions,
     der_bracket,
+    derivation_report,
     derivation_space,
     flatten_map,
     id_star,
     inner_derivations,
 )
+from superstem.invariants import invariant_report
 from superstem.linalg import (
     ZERO,
     EchelonBasis,
     Matrix,
     frac,
+    kernel_basis,
     mat_mul,
     mat_vec,
     matrix,
@@ -39,7 +43,7 @@ from superstem.linalg import (
     rref,
 )
 
-from test_single_pass import rescaled
+from test_single_pass import acceptance_corpus, rescaled
 
 
 def dense_bracket(d, e):
@@ -50,7 +54,7 @@ def dense_bracket(d, e):
         tuple(x - sign * y for x, y in zip(r1, r2))
         for r1, r2 in zip(de.entries, ed.entries)
     )
-    return GradedLinearMap((d.parity + e.parity) % 2, Matrix(de.rows, de.cols, ents))
+    return GradedLinearMap((d.parity + e.parity) % 2, matrix(ents, cols=de.cols))
 
 
 def dense_reduce(v, b):
@@ -82,18 +86,22 @@ def dense_leq(a, b):
 
 def unit_map(n, parity, i, j):
     ents = tuple(tuple(Fraction(1) if (r, c) == (i, j) else ZERO for c in range(n)) for r in range(n))
-    return GradedLinearMap(parity, Matrix(n, n, ents))
+    return GradedLinearMap(parity, matrix(ents, cols=n))
 
 
 def add_maps(a, b):
     ents = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.matrix.entries, b.matrix.entries))
-    return GradedLinearMap(a.parity, Matrix(a.matrix.rows, a.matrix.cols, ents))
+    return GradedLinearMap(a.parity, matrix(ents, cols=a.matrix.cols))
+
+
+def fresh_rows(m):
+    """The dense rows of a map with every entry a new Fraction object."""
+    return tuple(tuple(Fraction(x.numerator, x.denominator) for x in row) for row in m.matrix.entries)
 
 
 def fresh_zeros(m):
-    """The same map with every entry a new Fraction object."""
-    ents = tuple(tuple(Fraction(x.numerator, x.denominator) for x in row) for row in m.matrix.entries)
-    return GradedLinearMap(m.parity, Matrix(m.matrix.rows, m.matrix.cols, ents))
+    """The same map, built by matrix() from its fresh dense rows."""
+    return GradedLinearMap(m.parity, matrix(fresh_rows(m), cols=m.matrix.cols))
 
 
 def outside_unit(alg, space, parity):
@@ -158,8 +166,10 @@ def test_fresh_zeros_in_maps():
         u = outside_unit(alg, space, parity)
         assert u is not None
         for m in space.maps(parity):
-            fresh = fresh_zeros(m)
-            assert any(x == 0 and x is not ZERO for row in fresh.matrix.entries for x in row)
+            rows = fresh_rows(m)
+            assert any(x == 0 and x is not ZERO for row in rows for x in row)
+            fresh = GradedLinearMap(m.parity, matrix(rows, cols=m.matrix.cols))
+            assert all(x for row in fresh.matrix.support for _, x in row)
             assert fresh == m
             assert space.contains(fresh)
             assert not space.contains(fresh_zeros(add_maps(m, u)))
@@ -170,8 +180,9 @@ def test_fresh_zeros_in_maps():
 
 
 def test_raw_matrix_adjoint_maps():
-    """ad maps built from a raw Matrix whose zeros are fresh objects: each is
-    in ad(L) and Der(L), and [ad x, ad y] = ad [x, y] on basis vectors."""
+    """ad maps built by matrix() from dense rows whose zeros are fresh
+    objects: each is in ad(L) and Der(L), and [ad x, ad y] = ad [x, y] on
+    basis vectors."""
     alg = get("(2|2)_6").algebra
     n = alg.n
     der, inner = derivation_space(alg), inner_derivations(alg)
@@ -181,7 +192,7 @@ def test_raw_matrix_adjoint_maps():
             tuple(Fraction(alg.bracket(v, alg.basis_vector(j))[k]) for j in range(n))
             for k in range(n)
         )
-        return GradedLinearMap(parity, Matrix(n, n, cols))
+        return GradedLinearMap(parity, matrix(cols, cols=n))
 
     ads = [ad(alg.basis_vector(i), alg.parity(i)) for i in range(n)]
     for i, m in enumerate(ads):
@@ -194,10 +205,10 @@ def test_raw_matrix_adjoint_maps():
 def test_fresh_zeros_in_vectors_and_bases():
     basis = rref(matrix([[1, 0, 2, 0, 1], [0, 1, -1, 0, 3], [0, 0, 0, 1, Fraction(1, 2)]]))
     fresh_basis = EchelonBasis(
-        Matrix(basis.dim, basis.width, tuple(tuple(Fraction(x) for x in row) for row in basis.rows())),
+        matrix(tuple(tuple(Fraction(x) for x in row) for row in basis.rows()), cols=basis.width),
         basis.pivot_cols,
     )
-    assert fresh_basis.row_support == basis.row_support
+    assert fresh_basis.matrix.support == basis.matrix.support
     for v in ([2, 3, 1, 5, Fraction(17, 2)], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]):
         fresh = [Fraction(x) for x in v]
         want = dense_reduce(fresh, basis)
@@ -236,3 +247,64 @@ def test_sparse_reduction_matches_dense_loop(case):
     residual, coords = reduce_mod(nonzeros(v), basis)
     assert coords == want[1]
     assert residual == {j: x for j, x in enumerate(want[0]) if x}
+
+
+def assert_canonical(m):
+    """Each row's support is in increasing column order, in range and free
+    of zeros, so the stored form is the one the dense rows determine."""
+    assert len(m.support) == m.rows
+    for row in m.support:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+        assert all(isinstance(x, Fraction) and x for _, x in row)
+    assert matrix(m.entries, cols=m.cols) == m
+
+
+@strat.composite
+def chained_matrices(draw):
+    r, k, c = (draw(strat.integers(0, 6)) for _ in range(3))
+
+    def shaped(rows, cols):
+        return matrix(draw(strat.lists(strat.lists(rationals, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows)), cols=cols)
+
+    return shaped(r, k), shaped(k, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_matrices())
+def test_linalg_results_have_canonical_support(pair):
+    a, b = pair
+    for m in (a, b, rref(a).matrix, kernel_basis(a).matrix, mat_mul(a, b)):
+        assert_canonical(m)
+
+
+@pytest.mark.parametrize("alg", CATALOG[::4] + [rescaled(a) for a in CATALOG[::4]], ids=lambda a: a.name)
+def test_derivation_results_have_canonical_support(alg):
+    space = derivation_space(alg)
+    assert_canonical(space.even_part.matrix)
+    assert_canonical(space.odd_part.matrix)
+    maps = space.maps(0) + space.maps(1)
+    for d in maps:
+        assert_canonical(d.matrix)
+        for e in maps:
+            assert_canonical(der_bracket(d, e).matrix)
+
+
+@pytest.fixture
+def no_dense_view(monkeypatch):
+    """Make building the dense rows of any Matrix raise."""
+
+    def refuse(self):
+        raise AssertionError("dense view of a Matrix built")
+
+    monkeypatch.setattr(Matrix, "entries", property(refuse))
+
+
+def test_reports_and_closure_build_no_dense_view(no_dense_view):
+    for alg in acceptance_corpus():
+        invariant_report(alg)
+        assert derivation_report(alg).chain_ok
+        space = derivation_space(alg)
+        maps = space.maps(0) + space.maps(1)
+        assert all(space.contains(der_bracket(d, e)) for d in maps for e in maps)
