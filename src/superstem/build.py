@@ -6,13 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import (
-    GradedSubspace,
-    LieSuperalgebra,
-    full_rows,
-    subspace_contains,
-)
-from .linalg import ZERO, frac, nonzeros, reduce_mod
+from .core import GradedSubspace, LieSuperalgebra, from_brackets, full_basis, sparse_bracket
+from .linalg import ONE, ZERO, frac, nonzeros, reduce_mod
 
 
 class StructureConflictError(ValueError):
@@ -51,6 +46,8 @@ def algebra_from_relations(
     for i, j, terms in relations:
         if not (0 <= i < n and 0 <= j < n):
             raise StructureConflictError(f"basis index out of range in relation ({i}, {j})")
+        if any(not 0 <= k < n for k in terms):
+            raise StructureConflictError(f"target index out of range in relation ({i}, {j})")
         value = {k: frac(c) for k, c in terms.items() if frac(c)}
         sign = -1 if (parity(i) * parity(j)) % 2 else 1
         mirror = {k: -sign * c for k, c in value.items()}
@@ -63,14 +60,7 @@ def algebra_from_relations(
                     f"conflicting values for [{names[key[0]]}, {names[key[1]]}]")
             table[key] = val
 
-    tensor = tuple(
-        tuple(
-            tuple(table.get((i, j), {}).get(k, ZERO) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return LieSuperalgebra(name, tuple(even_names), tuple(odd_names), tensor)
+    return from_brackets(name, even_names, odd_names, {key: val.items() for key, val in table.items()})
 
 
 def abelian(k: int, l: int) -> LieSuperalgebra:
@@ -151,28 +141,21 @@ def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra) -> LieSuperalgebra:
         b_odd.append(nm2)
 
     ra, sa = a.sdim.even, a.sdim.odd
-    rb, sb = b.sdim.even, b.sdim.odd
-    n = a.n + b.n
+    rb = b.sdim.even
 
     def to_new(i: int, side: str) -> int:
         if side == "a":
             return i if i < ra else rb + i
         return ra + i if i < rb else ra + sa + i
 
-    tensor = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for alg, side in ((a, "a"), (b, "b")):
-        for i in range(alg.n):
-            ni = to_new(i, side)
-            for j in range(alg.n):
-                nj = to_new(j, side)
-                for k, c in alg.basis_bracket(i, j):
-                    tensor[ni][nj][to_new(k, side)] = c
-    return LieSuperalgebra(
-        f"{a.name}+{b.name}",
-        a.even_names + tuple(b_even),
-        a.odd_names + tuple(b_odd),
-        tuple(tuple(tuple(row) for row in plane) for plane in tensor),
-    )
+    brackets = {
+        (to_new(i, side), to_new(j, side)): [(to_new(k, side), c) for k, c in alg.basis_bracket(i, j)]
+        for alg, side in ((a, "a"), (b, "b"))
+        for i in range(alg.n)
+        for j in range(alg.n)
+    }
+    return from_brackets(
+        f"{a.name}+{b.name}", a.even_names + tuple(b_even), a.odd_names + tuple(b_odd), brackets)
 
 
 @dataclass(frozen=True)
@@ -213,9 +196,10 @@ def quotient(alg: LieSuperalgebra, ideal: GradedSubspace) -> tuple[LieSuperalgeb
     r, s = alg.sdim.even, alg.sdim.odd
     if ideal.even.width != r or ideal.odd.width != s:
         raise ValueError("ideal widths do not match the algebra")
-    for row in full_rows(alg, ideal):
+    full = full_basis(alg, ideal)
+    for row in full.matrix.support:
         for i in range(alg.n):
-            if not subspace_contains(alg, ideal, alg.bracket(alg.basis_vector(i), row)):
+            if reduce_mod(sparse_bracket(alg, ((i, ONE),), row).items(), full)[0]:
                 raise NotIdealError(
                     f"[{alg.basis_names[i]}, -] leaves the subspace")
 
@@ -225,15 +209,15 @@ def quotient(alg: LieSuperalgebra, ideal: GradedSubspace) -> tuple[LieSuperalgeb
     odd_kept = tuple(i for i in range(s) if i not in odd_pivots)
     qmap = QuotientMap(ideal, r, s, even_kept, odd_kept)
 
+    # brackets of the kept basis vectors, reduced modulo the ideal; the
+    # residues live on the kept coordinates alone
+    kept = even_kept + tuple(r + i for i in odd_kept)
+    new = {k: t for t, k in enumerate(kept)}
+    brackets = {
+        (a, b): [(new[k], c) for k, c in reduce_mod(alg.basis_bracket(i, j), full)[0].items()]
+        for a, i in enumerate(kept)
+        for b, j in enumerate(kept)
+    }
     q_even_names = tuple(alg.even_names[i] for i in even_kept)
     q_odd_names = tuple(alg.odd_names[i] for i in odd_kept)
-    reps = [alg.basis_vector(i) for i in even_kept]
-    reps += [alg.basis_vector(r + i) for i in odd_kept]
-
-    qn = len(reps)
-    tensor = tuple(
-        tuple(qmap.project(alg.bracket(reps[i], reps[j])) for j in range(qn))
-        for i in range(qn)
-    )
-    qalg = LieSuperalgebra(f"{alg.name}/~", q_even_names, q_odd_names, tensor)
-    return qalg, qmap
+    return from_brackets(f"{alg.name}/~", q_even_names, q_odd_names, brackets), qmap

@@ -2,9 +2,11 @@
 
 Basis vectors are indexed 0..r-1 (even part) then r..r+s-1 (odd part).  The
 structure tensor stores both orientations, tensor[i][j][k] being the
-coefficient of basis vector k in the bracket of basis vectors i and j.  It is
-read once, into the sparse brackets of basis pairs that `basis_bracket`
-returns; brackets, law validation and everything built on them use those.
+coefficient of basis vector k in the bracket of basis vectors i and j.
+`from_brackets` is the one writer of the tensor: every constructor hands it
+the sparse brackets of basis pairs.  The tensor is read once, into the
+sparse brackets that `basis_bracket` returns; brackets, spans, law
+validation and everything built on them use those.
 """
 
 from __future__ import annotations
@@ -12,19 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
     EchelonBasis,
     Matrix,
     ONE,
     ZERO,
-    echelon,
     empty_basis,
     frac,
     intersect_spaces,
-    membership,
+    nonzeros,
     reduce_mod,
+    rref,
+    sparse_matrix,
     sum_spaces,
 )
 
@@ -111,23 +114,51 @@ class LieSuperalgebra:
         n = self.n
         if len(x) != n or len(y) != n:
             raise ValueError("coordinate vectors must have full length")
-        out = [ZERO] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self._support[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in row[j]:
-                    out[k] += xi * yj * c
-        return tuple(out)
+        out = sparse_bracket(self, nonzeros(x), nonzeros(y))
+        return tuple(out.get(k, ZERO) for k in range(n))
 
     def zero(self) -> tuple[Fraction, ...]:
         return (ZERO,) * self.n
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return tuple(ONE if j == i else ZERO for j in range(self.n))
+
+
+def from_brackets(
+    name: str,
+    even_names: Sequence[str],
+    odd_names: Sequence[str],
+    brackets: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]],
+) -> LieSuperalgebra:
+    """The algebra with [b_i, b_j] = sum of c b_k over the (k, c) pairs of
+    brackets[i, j], each k at most once; pairs left out bracket to zero.
+
+    No law is checked and no orientation is filled in.  This is the one
+    place that writes a structure tensor.
+    """
+    even_names, odd_names = tuple(even_names), tuple(odd_names)
+    n = len(even_names) + len(odd_names)
+    zero_row = (ZERO,) * n
+    tensor = [[zero_row] * n for _ in range(n)]
+    for (i, j), pairs in brackets.items():
+        row = list(zero_row)
+        for k, c in pairs:
+            row[k] = c
+        tensor[i][j] = tuple(row)
+    return LieSuperalgebra(name, even_names, odd_names, tuple(map(tuple, tensor)))
+
+
+def sparse_bracket(
+    alg: LieSuperalgebra, x: Iterable[tuple[int, Fraction]], y: Iterable[tuple[int, Fraction]]
+) -> dict[int, Fraction]:
+    """[x, y] for vectors given by their (index, value) pairs, as a dict of its nonzeros."""
+    y = tuple(y)
+    out: dict[int, Fraction] = {}
+    for i, a in x:
+        for j, b in y:
+            for k, c in alg.basis_bracket(i, j):
+                out[k] = out.get(k, ZERO) + a * b * c
+    return {k: c for k, c in out.items() if c}
 
 
 def vector_parity(alg: LieSuperalgebra, v: Sequence[Fraction]) -> int | None:
@@ -239,25 +270,33 @@ def zero_subspace(alg: LieSuperalgebra) -> GradedSubspace:
     return GradedSubspace(empty_basis(alg.sdim.even), empty_basis(alg.sdim.odd))
 
 
-def split_vector(alg: LieSuperalgebra, v: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def sparse_span(alg: LieSuperalgebra, vectors: Iterable[Iterable[tuple[int, Fraction]]]) -> GradedSubspace:
+    """Span of homogeneous vectors given by their (index, value) pairs, split
+    by parity and echelonized.
+
+    Raises MixedParityError when a vector has both even and odd nonzeros.
+    """
     r = alg.sdim.even
-    return tuple(frac(x) for x in v[:r]), tuple(frac(x) for x in v[r:])
+    parts: tuple[list, list] = ([], [])
+    for v in vectors:
+        v = [(k, x) for k, x in v if x]
+        if not v:
+            continue
+        odd = v[0][0] >= r
+        if any((k >= r) != odd for k, _ in v):
+            raise MixedParityError("vector has both even and odd components")
+        parts[odd].append({k - r: x for k, x in v} if odd else dict(v))
+    return GradedSubspace(rref(sparse_matrix(parts[0], r)), rref(sparse_matrix(parts[1], alg.sdim.odd)))
 
 
 def graded_span(alg: LieSuperalgebra, vectors: Iterable[Sequence[Fraction]]) -> GradedSubspace:
-    """Span of homogeneous vectors, split by parity and echelonized."""
-    even_rows, odd_rows = [], []
+    """Span of homogeneous full-length coordinate vectors; see sparse_span."""
+    rows = []
     for v in vectors:
-        par = vector_parity(alg, v)
-        ev, od = split_vector(alg, v)
-        if par == 0:
-            even_rows.append(ev)
-        elif par == 1:
-            odd_rows.append(od)
-    return GradedSubspace(
-        echelon(even_rows, alg.sdim.even),
-        echelon(odd_rows, alg.sdim.odd),
-    )
+        if len(v) != alg.n:
+            raise ValueError("coordinate vectors must have full length")
+        rows.append(nonzeros([frac(x) for x in v]))
+    return sparse_span(alg, rows)
 
 
 def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
@@ -269,10 +308,9 @@ def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
 
 
 def subspace_contains(alg: LieSuperalgebra, space: GradedSubspace, v: Sequence[Fraction]) -> bool:
-    ev, od = split_vector(alg, v)
-    in_even, _ = membership(ev, space.even)
-    in_odd, _ = membership(od, space.odd)
-    return in_even and in_odd
+    if len(v) != alg.n:
+        raise ValueError("coordinate vectors must have full length")
+    return not reduce_mod(nonzeros([frac(x) for x in v]), full_basis(alg, space))[0]
 
 
 def subspace_leq(a: GradedSubspace, b: GradedSubspace) -> bool:
@@ -291,7 +329,3 @@ def full_basis(alg: LieSuperalgebra, space: GradedSubspace) -> EchelonBasis:
         Matrix(space.sdim.total, alg.n, space.even.matrix.support + odd),
         space.even.pivot_cols + tuple(r + p for p in space.odd.pivot_cols))
 
-
-def full_rows(alg: LieSuperalgebra, space: GradedSubspace) -> tuple[tuple[Fraction, ...], ...]:
-    """Basis of the subspace as full-width vectors, even rows first."""
-    return full_basis(alg, space).rows()

@@ -120,13 +120,14 @@ def _embed_echelon(e: EchelonBasis, positions: list[tuple[int, int]], n: int) ->
 
 
 def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[dict[int, Fraction]]:
-    n = alg.n
+    n, r = alg.n, alg.sdim.even
+    of_parity = (range(r), range(r, n))
     rows = []
     for a in range(n):
         pa = alg.parity(a)
         sign = -ONE if (parity * pa) % 2 else ONE
         for b in range(a, n):
-            target_parity = (pa + alg.parity(b) + parity) % 2
+            pb = alg.parity(b)
             per_m: dict[int, dict[int, Fraction]] = {}
 
             def bump(m: int, i: int, j: int, c: Fraction) -> None:
@@ -134,17 +135,12 @@ def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[dict[i
                 row[t] = row.get(t, ZERO) + c
 
             for k, c in alg.basis_bracket(a, b):
-                for m in range(n):
-                    if alg.parity(m) == target_parity:
-                        bump(m, m, k, c)
-            for i in range(n):
-                if alg.parity(i) != (pa + parity) % 2:
-                    continue
+                for m in of_parity[(pa + pb + parity) % 2]:
+                    bump(m, m, k, c)
+            for i in of_parity[(pa + parity) % 2]:
                 for m, c in alg.basis_bracket(i, b):
                     bump(m, i, a, -c)
-            for i in range(n):
-                if alg.parity(i) != (alg.parity(b) + parity) % 2:
-                    continue
+            for i in of_parity[(pb + parity) % 2]:
                 for m, c in alg.basis_bracket(a, i):
                     bump(m, i, b, -sign * c)
             rows.extend(row for row in per_m.values() if any(row.values()))

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import quotient
 from .core import (
     GradedSubspace,
     LieSuperalgebra,
     SuperDim,
+    from_brackets,
     full_basis,
-    full_rows,
-    graded_span,
+    sparse_bracket,
+    sparse_span,
     subspace_intersect,
     subspace_leq,
     subspace_sum,
@@ -21,15 +21,14 @@ from .core import (
 )
 from .linalg import (
     EchelonBasis,
-    echelon,
+    Matrix,
+    ONE,
     kernel_basis,
     mat_mul,
-    matrix,
-    membership,
     reduce_mod,
+    rref,
     sparse_matrix,
     sum_spaces,
-    unit_vector,
 )
 
 
@@ -44,12 +43,7 @@ class StemDecompositionError(RuntimeError):
 
 def derived_subalgebra(alg: LieSuperalgebra) -> GradedSubspace:
     """The span of all brackets, [L, L]."""
-    vectors = []
-    for i in range(alg.n):
-        for j in range(i, alg.n):
-            if alg.basis_bracket(i, j):
-                vectors.append(alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
-    return graded_span(alg, vectors)
+    return sparse_span(alg, (alg.basis_bracket(i, j) for i in range(alg.n) for j in range(i, alg.n)))
 
 
 def _central_step_part(alg: LieSuperalgebra, z: GradedSubspace, parity: int) -> EchelonBasis:
@@ -138,11 +132,6 @@ def lambda_pair(k: SuperDim, p: int, q: int) -> SuperDim:
     return SuperDim(p * k.even + q * k.odd, q * k.even + p * k.odd)
 
 
-def central_quotient(alg: LieSuperalgebra) -> LieSuperalgebra:
-    q, _ = quotient(alg, center(alg))
-    return q
-
-
 def st(alg: LieSuperalgebra) -> SuperDim:
     """The defect st(L) = lambda([L,L], p, q) - sdim L/Z(L), componentwise.
 
@@ -208,14 +197,19 @@ def proposition_audit(alg: LieSuperalgebra) -> PropositionAuditReport:
     return PropositionAuditReport(alg.name, derived_total, t, tuple(rungs))
 
 
+def _span(rows, width: int) -> EchelonBasis:
+    rows = tuple(rows)
+    return rref(Matrix(len(rows), width, rows))
+
+
 def _extend(ech: EchelonBasis, candidates) -> list:
-    """The candidates, in order, that are not in the span of ech and the
+    """The candidate rows, in order, that are not in the span of ech and the
     candidates kept before them."""
     added = []
     for v in candidates:
-        if not membership(v, ech)[0]:
+        if reduce_mod(v, ech)[0]:
             added.append(v)
-            ech = sum_spaces(ech, echelon([v], ech.width))
+            ech = sum_spaces(ech, _span([v], ech.width))
     return added
 
 
@@ -230,47 +224,40 @@ def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]
     cent = center(alg)
     core_part = subspace_intersect(derived, cent)
 
-    a_even = _extend(core_part.even, cent.even.rows())
-    a_odd = _extend(core_part.odd, cent.odd.rows())
+    a_even = _extend(core_part.even, cent.even.matrix.support)
+    a_odd = _extend(core_part.odd, cent.odd.matrix.support)
 
     r, s = alg.sdim.even, alg.sdim.odd
-    avoid_even = echelon(list(derived.even.rows()) + a_even, r)
-    avoid_odd = echelon(list(derived.odd.rows()) + a_odd, s)
-    t_extra_even = _extend(avoid_even, (unit_vector(r, i) for i in range(r)))
-    t_extra_odd = _extend(avoid_odd, (unit_vector(s, i) for i in range(s)))
+    d_even, d_odd = derived.even.matrix.support, derived.odd.matrix.support
+    t_extra_even = _extend(_span(d_even + tuple(a_even), r), (((i, ONE),) for i in range(r)))
+    t_extra_odd = _extend(_span(d_odd + tuple(a_odd), s), (((i, ONE),) for i in range(s)))
 
-    t_space = GradedSubspace(
-        echelon(list(derived.even.rows()) + t_extra_even, r),
-        echelon(list(derived.odd.rows()) + t_extra_odd, s),
-    )
+    t_space = GradedSubspace(_span(d_even + tuple(t_extra_even), r), _span(d_odd + tuple(t_extra_odd), s))
     pad = SuperDim(len(a_even), len(a_odd))
     if t_space.sdim + pad != alg.sdim:
         raise StemDecompositionError("parts do not fill the algebra")
 
-    basis = full_rows(alg, t_space)
-    p, q = t_space.sdim.even, t_space.sdim.odd
-    tensor = []
-    for va in basis:
-        row = []
-        for vb in basis:
-            w = alg.bracket(va, vb)
-            ok_e, ce = membership(w[:r], t_space.even)
-            ok_o, co = membership(w[r:], t_space.odd)
-            if not (ok_e and ok_o):
+    basis = full_basis(alg, t_space)
+    rows = basis.matrix.support
+    brackets = {}
+    for a, va in enumerate(rows):
+        for b, vb in enumerate(rows):
+            residual, coords = reduce_mod(sparse_bracket(alg, va, vb).items(), basis)
+            if residual:
                 raise StemDecompositionError("bracket left the stem part")
-            row.append(tuple(ce) + tuple(co))
-        tensor.append(tuple(row))
-    t_alg = LieSuperalgebra(
+            brackets[a, b] = [(k, c) for k, c in enumerate(coords) if c]
+    p, q = t_space.sdim.even, t_space.sdim.odd
+    t_alg = from_brackets(
         f"stem({alg.name})",
         tuple(f"t{i + 1}" for i in range(p)),
         tuple(f"u{i + 1}" for i in range(q)),
-        tuple(tensor),
+        brackets,
     )
 
     # centre of T must coincide with [L,L] n Z(L), mapped back into L
     zt = center(t_alg)
-    zt_in_l = mat_mul(full_basis(t_alg, zt).matrix, matrix(basis, cols=alg.n))
-    if graded_span(alg, zt_in_l.entries) != core_part:
+    zt_in_l = mat_mul(full_basis(t_alg, zt).matrix, basis.matrix)
+    if sparse_span(alg, zt_in_l.support) != core_part:
         raise StemDecompositionError("centre of the stem part is off")
     return t_alg, pad
 

@@ -82,10 +82,6 @@ def nonzeros(row: Sequence[Fraction]) -> Row:
     return tuple([(j, x) for j, x in enumerate(row) if x is not ZERO and x])
 
 
-def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(v) != m.cols:
         raise ValueError("vector length does not match column count")
@@ -188,11 +184,6 @@ def rref(m: Matrix) -> EchelonBasis:
     return _basis(_eliminate(m.support), m.cols)
 
 
-def echelon(rows: Iterable[Sequence], width: int) -> EchelonBasis:
-    """Echelonized span of a list of vectors."""
-    return rref(matrix(rows, cols=width))
-
-
 def empty_basis(width: int) -> EchelonBasis:
     return EchelonBasis(Matrix(0, width, ()), ())
 
@@ -209,16 +200,6 @@ def reduce_mod(
     work = dict(v)
     coords = _reduce(work, zip(b.pivot_cols, b.matrix.support))
     return {j: x for j, x in work.items() if x}, tuple(coords)
-
-
-def membership(v: Sequence[Fraction], b: EchelonBasis) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Decide whether v lies in span(b); on success return its coordinates."""
-    if len(v) != b.width:
-        raise ValueError("vector length does not match basis width")
-    residual, coords = reduce_mod(nonzeros([frac(x) for x in v]), b)
-    if residual:
-        return False, None
-    return True, coords
 
 
 def sum_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:

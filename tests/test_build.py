@@ -128,6 +128,12 @@ def test_direct_sum_center_and_derived_are_componentwise():
     assert derived_subalgebra(s).sdim == derived_subalgebra(a).sdim + derived_subalgebra(b).sdim
 
 
+@pytest.mark.parametrize("k", (2, 5, -1))
+def test_target_index_out_of_range_is_rejected(k):
+    with pytest.raises(StructureConflictError):
+        algebra_from_relations("x", ("e1", "e2"), (), [(0, 1, {k: 1})])
+
+
 def test_quotient_of_top_grade_is_heisenberg():
     alg = get("(4|0)_2").algebra
     ideal = graded_span(alg, [alg.basis_vector(3)])

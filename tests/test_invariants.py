@@ -8,7 +8,6 @@ from superstem.core import SuperDim, subspace_contains, subspace_leq
 from superstem.invariants import (
     NotNilpotentError,
     center,
-    central_quotient,
     derived_subalgebra,
     generator_pair,
     invariant_report,
@@ -24,6 +23,7 @@ from superstem.invariants import (
     upper_central_series,
 )
 from superstem.linalg import frac
+from test_single_pass import central_quotient
 
 
 def non_nilpotent_example():

@@ -1,0 +1,246 @@
+"""One builder for the structure tensor, and sparse brackets on the library paths.
+
+`core.from_brackets` is the only code that writes `LieSuperalgebra.tensor`;
+`algebra_from_relations`, `direct_sum`, `quotient` and `stem_decomposition`
+hand it sparse brackets.  [L, L], the ideal check and projection of
+`quotient`, and the bracket and coordinate loop of `stem_decomposition` take
+brackets from `basis_bracket` and reduce against `full_basis`.  The
+references below are the dense versions they replace: brackets of dense
+basis vectors, dense membership and dense echelon forms.  The structure test
+keeps the one-builder rule from regressing, and the guard test checks that
+the library paths never build a dense bracket.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import superstem
+from superstem.build import (
+    NotIdealError,
+    QuotientMap,
+    abelian,
+    algebra_from_relations,
+    direct_sum,
+    quotient,
+)
+from superstem.catalog import entries
+from superstem.core import (
+    GradedSubspace,
+    LieSuperalgebra,
+    MixedParityError,
+    SuperDim,
+    from_brackets,
+    full_basis,
+    subspace_intersect,
+    validate,
+    vector_parity,
+    zero_subspace,
+)
+from superstem.derivations import derivation_report
+from superstem.fileformat import export, parse
+from superstem.invariants import (
+    center,
+    derived_subalgebra,
+    invariant_report,
+    stem_decomposition,
+    upper_central_series,
+)
+from superstem.linalg import frac, mat_mul, matrix, nonzeros, reduce_mod, rref, sum_spaces
+from test_single_pass import acceptance_corpus
+
+# catalog entries plus abelian summands, so that stem parts have a complement
+CORPUS = acceptance_corpus() + [
+    direct_sum(e.algebra, abelian(a, b)) for e in entries() for a, b in ((1, 0), (0, 1), (1, 1))
+]
+
+
+def membership(v, b):
+    residual, coords = reduce_mod(nonzeros([frac(x) for x in v]), b)
+    return (False, None) if residual else (True, coords)
+
+
+def echelon(rows, width):
+    return rref(matrix(rows, cols=width))
+
+
+def unit_vector(n, i):
+    return tuple(frac(int(j == i)) for j in range(n))
+
+
+def dense_span(alg, vectors):
+    r, s = alg.sdim.even, alg.sdim.odd
+    parts = ([], [])
+    for v in vectors:
+        par = vector_parity(alg, v)
+        if par is not None:
+            parts[par].append(v[r:] if par else v[:r])
+    return GradedSubspace(echelon(parts[0], r), echelon(parts[1], s))
+
+
+def dense_derived(alg):
+    vectors = []
+    for i in range(alg.n):
+        for j in range(i, alg.n):
+            if alg.basis_bracket(i, j):
+                vectors.append(alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
+    return dense_span(alg, vectors)
+
+
+def dense_is_ideal(alg, space):
+    r = alg.sdim.even
+    for row in full_basis(alg, space).rows():
+        for i in range(alg.n):
+            w = alg.bracket(alg.basis_vector(i), row)
+            if not (membership(w[:r], space.even)[0] and membership(w[r:], space.odd)[0]):
+                return False
+    return True
+
+
+def dense_quotient(alg, ideal):
+    r, s = alg.sdim.even, alg.sdim.odd
+    even_kept = tuple(i for i in range(r) if i not in ideal.even.pivot_cols)
+    odd_kept = tuple(i for i in range(s) if i not in ideal.odd.pivot_cols)
+    qmap = QuotientMap(ideal, r, s, even_kept, odd_kept)
+    reps = [alg.basis_vector(i) for i in even_kept] + [alg.basis_vector(r + i) for i in odd_kept]
+    tensor = tuple(
+        tuple(qmap.project(alg.bracket(x, y)) for y in reps)
+        for x in reps
+    )
+    names = (tuple(alg.even_names[i] for i in even_kept), tuple(alg.odd_names[i] for i in odd_kept))
+    return LieSuperalgebra(f"{alg.name}/~", *names, tensor), qmap
+
+
+def _extend(ech, candidates):
+    added = []
+    for v in candidates:
+        if not membership(v, ech)[0]:
+            added.append(v)
+            ech = sum_spaces(ech, echelon([v], ech.width))
+    return added
+
+
+def dense_stem_decomposition(alg):
+    derived = dense_derived(alg)
+    cent = center(alg)
+    core_part = subspace_intersect(derived, cent)
+    a_even = _extend(core_part.even, cent.even.rows())
+    a_odd = _extend(core_part.odd, cent.odd.rows())
+
+    r, s = alg.sdim.even, alg.sdim.odd
+    avoid_even = echelon(list(derived.even.rows()) + a_even, r)
+    avoid_odd = echelon(list(derived.odd.rows()) + a_odd, s)
+    t_extra_even = _extend(avoid_even, (unit_vector(r, i) for i in range(r)))
+    t_extra_odd = _extend(avoid_odd, (unit_vector(s, i) for i in range(s)))
+    t_space = GradedSubspace(
+        echelon(list(derived.even.rows()) + t_extra_even, r),
+        echelon(list(derived.odd.rows()) + t_extra_odd, s),
+    )
+    basis = full_basis(alg, t_space).rows()
+    tensor = []
+    for va in basis:
+        row = []
+        for vb in basis:
+            w = alg.bracket(va, vb)
+            ok_e, ce = membership(w[:r], t_space.even)
+            ok_o, co = membership(w[r:], t_space.odd)
+            assert ok_e and ok_o
+            row.append(tuple(ce) + tuple(co))
+        tensor.append(tuple(row))
+    p, q = t_space.sdim.even, t_space.sdim.odd
+    t_alg = LieSuperalgebra(
+        f"stem({alg.name})",
+        tuple(f"t{i + 1}" for i in range(p)),
+        tuple(f"u{i + 1}" for i in range(q)),
+        tuple(tensor),
+    )
+    zt = full_basis(t_alg, center(t_alg)).matrix
+    assert dense_span(alg, mat_mul(zt, matrix(basis, cols=alg.n)).entries) == core_part
+    return t_alg, SuperDim(len(a_even), len(a_odd))
+
+
+@pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
+def test_derived_subalgebra_matches_dense(alg):
+    assert derived_subalgebra(alg) == dense_derived(alg)
+
+
+@pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
+def test_quotient_matches_dense(alg):
+    for z in upper_central_series(alg):
+        assert quotient(alg, z) == dense_quotient(alg, z)
+    for space in (derived_subalgebra(alg), dense_span(alg, [alg.basis_vector(0)])):
+        if dense_is_ideal(alg, space):
+            assert quotient(alg, space) == dense_quotient(alg, space)
+        else:
+            with pytest.raises(NotIdealError):
+                quotient(alg, space)
+
+
+@pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
+def test_stem_decomposition_matches_dense(alg):
+    assert stem_decomposition(alg) == dense_stem_decomposition(alg)
+
+
+def test_derived_subalgebra_rejects_mixed_brackets():
+    # [x1, x2] = x3 + y breaks the grading: the bracket has both parities
+    alg = algebra_from_relations("mixed", ("x1", "x2", "x3"), ("y",), [(0, 1, {2: 1, 3: 1})])
+    assert not validate(alg).grading_ok
+    with pytest.raises(MixedParityError):
+        derived_subalgebra(alg)
+    with pytest.raises(MixedParityError):
+        stem_decomposition(alg)
+
+
+def test_builders_copy_brackets_exactly():
+    # one orientation only: no constructor fills in the skew mirror
+    lopsided = from_brackets("lopsided", ("x1", "x2", "x3"), (), {(0, 1): [(2, frac(1))]})
+    assert not validate(lopsided).skew_ok
+    s = direct_sum(lopsided, abelian(1, 0))
+    assert s.basis_bracket(0, 1) == ((2, frac(1)),) and s.basis_bracket(1, 0) == ()
+    q, _ = quotient(lopsided, zero_subspace(lopsided))
+    assert q.tensor == lopsided.tensor
+
+
+@pytest.fixture
+def no_dense_brackets(monkeypatch):
+    """Make the dense bracket, basis vectors and zero vector raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense bracket or coordinate vector built")
+
+    for name in ("bracket", "basis_vector", "zero"):
+        monkeypatch.setattr(LieSuperalgebra, name, refuse)
+
+
+def test_library_paths_build_no_dense_bracket(no_dense_brackets):
+    for alg in acceptance_corpus():
+        invariant_report(alg)
+        assert derivation_report(alg).chain_ok
+        direct_sum(alg, alg)
+        quotient(alg, center(alg))
+        stem_decomposition(alg)
+        assert parse(export(alg)) == alg
+
+
+def test_only_from_brackets_writes_the_tensor():
+    """No module but core calls LieSuperalgebra( or reads .tensor, core calls
+    it only in from_brackets, and no module calls the dense bracket."""
+    offences = []
+    for path in sorted(Path(superstem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "core.py":
+            builder = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == "from_brackets")
+            allowed = {id(node) for node in ast.walk(builder)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "LieSuperalgebra":
+                    offences.append(f"{path.name}:{node.lineno} calls LieSuperalgebra(")
+                if isinstance(func, ast.Attribute) and func.attr in ("bracket", "basis_vector", "zero"):
+                    offences.append(f"{path.name}:{node.lineno} calls .{func.attr}(")
+            if isinstance(node, ast.Attribute) and node.attr == "tensor" and path.name != "core.py":
+                offences.append(f"{path.name}:{node.lineno} reads .tensor")
+    assert offences == []
