@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import GradedSubspace, LieSuperalgebra, from_brackets, full_basis, sparse_bracket
-from .linalg import ONE, ZERO, frac, nonzeros, reduce_mod
+from .linalg import ONE, ZERO, Scalar, frac, nonzeros, reduce_mod
 
 
 class StructureConflictError(ValueError):
@@ -18,7 +17,7 @@ class NotIdealError(ValueError):
     """The subspace handed to quotient() is not an ideal."""
 
 
-Relation = tuple[int, int, Mapping[int, Fraction]]
+Relation = tuple[int, int, Mapping[int, Scalar]]
 
 
 def algebra_from_relations(
@@ -42,7 +41,7 @@ def algebra_from_relations(
     def parity(i: int) -> int:
         return 0 if i < r else 1
 
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, j, terms in relations:
         if not (0 <= i < n and 0 <= j < n):
             raise StructureConflictError(f"basis index out of range in relation ({i}, {j})")
@@ -86,8 +85,8 @@ def heisenberg_even(m: int, n: int) -> LieSuperalgebra:
     even = tuple(f"x{i + 1}" for i in range(2 * m)) + ("z",)
     odd = tuple(f"y{j + 1}" for j in range(n))
     z = 2 * m
-    rels: list[Relation] = [(i, m + i, {z: frac(1)}) for i in range(m)]
-    rels += [(2 * m + 1 + j, 2 * m + 1 + j, {z: frac(1)}) for j in range(n)]
+    rels: list[Relation] = [(i, m + i, {z: ONE}) for i in range(m)]
+    rels += [(2 * m + 1 + j, 2 * m + 1 + j, {z: ONE}) for j in range(n)]
     return algebra_from_relations(f"H({m},{n})", even, odd, rels)
 
 
@@ -101,7 +100,7 @@ def heisenberg_odd(m: int) -> LieSuperalgebra:
     even = tuple(f"x{j + 1}" for j in range(m))
     odd = tuple(f"y{j + 1}" for j in range(m)) + ("z",)
     z = 2 * m
-    rels: list[Relation] = [(j, m + j, {z: frac(1)}) for j in range(m)]
+    rels: list[Relation] = [(j, m + j, {z: ONE}) for j in range(m)]
     return algebra_from_relations(f"H_{m}", even, odd, rels)
 
 
@@ -113,7 +112,7 @@ def tower(t: int) -> LieSuperalgebra:
     if t < 1:
         raise ValueError("need t >= 1")
     names = ("s",) + tuple(f"s{i}" for i in range(1, t + 3))
-    rels: list[Relation] = [(0, i, {i + 1: frac(1)}) for i in range(1, t + 2)]
+    rels: list[Relation] = [(0, i, {i + 1: ONE}) for i in range(1, t + 2)]
     return algebra_from_relations(f"tower({t})", names, (), rels)
 
 
@@ -173,14 +172,14 @@ class QuotientMap:
     even_kept: tuple[int, ...]
     odd_kept: tuple[int, ...]
 
-    def project(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def project(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         r = self.domain_even
         ev_res, _ = reduce_mod(nonzeros([frac(x) for x in v[:r]]), self.ideal.even)
         od_res, _ = reduce_mod(nonzeros([frac(x) for x in v[r:]]), self.ideal.odd)
         return tuple(ev_res.get(i, ZERO) for i in self.even_kept) + tuple(
             od_res.get(i, ZERO) for i in self.odd_kept)
 
-    def lift(self, w: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def lift(self, w: Sequence[Scalar]) -> tuple[Scalar, ...]:
         ev = [ZERO] * self.domain_even
         od = [ZERO] * self.domain_odd
         ne = len(self.even_kept)

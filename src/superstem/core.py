@@ -5,14 +5,14 @@ structure tensor stores both orientations, tensor[i][j][k] being the
 coefficient of basis vector k in the bracket of basis vectors i and j.
 `from_brackets` is the one writer of the tensor: every constructor hands it
 the sparse brackets of basis pairs.  The tensor is read once, into the
-sparse brackets that `basis_bracket` returns; brackets, spans, law
+sparse brackets that `basis_bracket` returns, with each coefficient made
+canonical by `linalg.frac` (an int when integral); brackets, spans, law
 validation and everything built on them use those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     ONE,
     ZERO,
+    Scalar,
     empty_basis,
     frac,
     intersect_spaces,
@@ -69,7 +70,7 @@ class SuperDim:
         return f"({self.even}|{self.odd})"
 
 
-Tensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
+Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -95,21 +96,21 @@ class LieSuperalgebra:
         return 0 if i < len(self.even_names) else 1
 
     @cached_property
-    def _support(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+    def _support(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
         n = self.n
         return tuple(
             tuple(
-                tuple((k, c) for k, c in enumerate(self.tensor[i][j]) if c)
+                tuple((k, frac(c)) for k, c in enumerate(self.tensor[i][j]) if c)
                 for j in range(n)
             )
             for i in range(n)
         )
 
-    def basis_bracket(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+    def basis_bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         """Sparse [b_i, b_j] as (index, coefficient) pairs."""
         return self._support[i][j]
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Bilinear extension of the structure tensor to coordinate vectors."""
         n = self.n
         if len(x) != n or len(y) != n:
@@ -117,10 +118,10 @@ class LieSuperalgebra:
         out = sparse_bracket(self, nonzeros(x), nonzeros(y))
         return tuple(out.get(k, ZERO) for k in range(n))
 
-    def zero(self) -> tuple[Fraction, ...]:
+    def zero(self) -> tuple[Scalar, ...]:
         return (ZERO,) * self.n
 
-    def basis_vector(self, i: int) -> tuple[Fraction, ...]:
+    def basis_vector(self, i: int) -> tuple[Scalar, ...]:
         return tuple(ONE if j == i else ZERO for j in range(self.n))
 
 
@@ -128,7 +129,7 @@ def from_brackets(
     name: str,
     even_names: Sequence[str],
     odd_names: Sequence[str],
-    brackets: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]],
+    brackets: Mapping[tuple[int, int], Iterable[tuple[int, Scalar]]],
 ) -> LieSuperalgebra:
     """The algebra with [b_i, b_j] = sum of c b_k over the (k, c) pairs of
     brackets[i, j], each k at most once; pairs left out bracket to zero.
@@ -149,19 +150,20 @@ def from_brackets(
 
 
 def sparse_bracket(
-    alg: LieSuperalgebra, x: Iterable[tuple[int, Fraction]], y: Iterable[tuple[int, Fraction]]
-) -> dict[int, Fraction]:
-    """[x, y] for vectors given by their (index, value) pairs, as a dict of its nonzeros."""
+    alg: LieSuperalgebra, x: Iterable[tuple[int, Scalar]], y: Iterable[tuple[int, Scalar]]
+) -> dict[int, Scalar]:
+    """[x, y] for vectors given by their (index, value) pairs, as a dict of its
+    nonzeros in canonical form (see linalg.frac)."""
     y = tuple(y)
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     for i, a in x:
         for j, b in y:
             for k, c in alg.basis_bracket(i, j):
                 out[k] = out.get(k, ZERO) + a * b * c
-    return {k: c for k, c in out.items() if c}
+    return {k: frac(c) for k, c in out.items() if c}
 
 
-def vector_parity(alg: LieSuperalgebra, v: Sequence[Fraction]) -> int | None:
+def vector_parity(alg: LieSuperalgebra, v: Sequence[Scalar]) -> int | None:
     """Parity of a homogeneous vector, None for zero.
 
     Raises MixedParityError when both graded parts are nonzero.
@@ -232,10 +234,19 @@ def validate(alg: LieSuperalgebra) -> ValidationReport:
                         f"[{names[j]}, {names[i]}] is not the signed mirror of the (i, j) orientation")
 
     def jacobi():
+        # a triple i <= j <= k can break the identity only when one of its
+        # inner brackets [b_j, b_k], [b_k, b_i], [b_i, b_j] is nonzero, so
+        # each pair (i, j) visits only those k, still in increasing order
+        right = [{k for k in range(n) if alg.basis_bracket(a, k)} for a in range(n)]
+        left = [{k for k in range(n) if alg.basis_bracket(k, a)} for a in range(n)]
         for i in range(n):
             for j in range(i, n):
-                for k in range(j, n):
-                    acc: dict[int, Fraction] = {}
+                if alg.basis_bracket(i, j):
+                    ks = range(j, n)
+                else:
+                    ks = sorted(k for k in right[j] | left[i] if k >= j)
+                for k in ks:
+                    acc: dict[int, Scalar] = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         s = _sign(p[a] * p[c])
                         for m, coeff in alg.basis_bracket(b, c):
@@ -270,7 +281,7 @@ def zero_subspace(alg: LieSuperalgebra) -> GradedSubspace:
     return GradedSubspace(empty_basis(alg.sdim.even), empty_basis(alg.sdim.odd))
 
 
-def sparse_span(alg: LieSuperalgebra, vectors: Iterable[Iterable[tuple[int, Fraction]]]) -> GradedSubspace:
+def sparse_span(alg: LieSuperalgebra, vectors: Iterable[Iterable[tuple[int, Scalar]]]) -> GradedSubspace:
     """Span of homogeneous vectors given by their (index, value) pairs, split
     by parity and echelonized.
 
@@ -289,7 +300,7 @@ def sparse_span(alg: LieSuperalgebra, vectors: Iterable[Iterable[tuple[int, Frac
     return GradedSubspace(rref(sparse_matrix(parts[0], r)), rref(sparse_matrix(parts[1], alg.sdim.odd)))
 
 
-def graded_span(alg: LieSuperalgebra, vectors: Iterable[Sequence[Fraction]]) -> GradedSubspace:
+def graded_span(alg: LieSuperalgebra, vectors: Iterable[Sequence[Scalar]]) -> GradedSubspace:
     """Span of homogeneous full-length coordinate vectors; see sparse_span."""
     rows = []
     for v in vectors:
@@ -307,7 +318,7 @@ def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     return GradedSubspace(intersect_spaces(a.even, b.even), intersect_spaces(a.odd, b.odd))
 
 
-def subspace_contains(alg: LieSuperalgebra, space: GradedSubspace, v: Sequence[Fraction]) -> bool:
+def subspace_contains(alg: LieSuperalgebra, space: GradedSubspace, v: Sequence[Scalar]) -> bool:
     if len(v) != alg.n:
         raise ValueError("coordinate vectors must have full length")
     return not reduce_mod(nonzeros([frac(x) for x in v]), full_basis(alg, space))[0]

@@ -16,7 +16,6 @@ the nonzeros rather than n^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import LieSuperalgebra, SuperDim, full_basis
@@ -32,6 +31,8 @@ from .linalg import (
     Matrix,
     ONE,
     ZERO,
+    Scalar,
+    frac,
     kernel_basis,
     matrix,
     mat_mul,
@@ -46,17 +47,17 @@ class GradedLinearMap:
     parity: int
     matrix: Matrix
 
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def apply(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(v) != self.matrix.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum([x * v[j] for j, x in row if v[j]], ZERO) for row in self.matrix.support)
+        return tuple(frac(sum([x * v[j] for j, x in row if v[j]], ZERO)) for row in self.matrix.support)
 
 
-def flatten_map(m: GradedLinearMap) -> tuple[Fraction, ...]:
+def flatten_map(m: GradedLinearMap) -> tuple[Scalar, ...]:
     return tuple(x for row in m.matrix.entries for x in row)
 
 
-def unflatten_map(row: Sequence[Fraction], n: int, parity: int) -> GradedLinearMap:
+def unflatten_map(row: Sequence[Scalar], n: int, parity: int) -> GradedLinearMap:
     return GradedLinearMap(parity, matrix([row[i * n:(i + 1) * n] for i in range(n)], cols=n))
 
 
@@ -119,7 +120,7 @@ def _embed_echelon(e: EchelonBasis, positions: list[tuple[int, int]], n: int) ->
     return EchelonBasis(Matrix(e.dim, n * n, support), tuple(flat[p] for p in e.pivot_cols))
 
 
-def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[dict[int, Fraction]]:
+def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[dict[int, Scalar]]:
     n, r = alg.n, alg.sdim.even
     of_parity = (range(r), range(r, n))
     rows = []
@@ -128,9 +129,9 @@ def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[dict[i
         sign = -ONE if (parity * pa) % 2 else ONE
         for b in range(a, n):
             pb = alg.parity(b)
-            per_m: dict[int, dict[int, Fraction]] = {}
+            per_m: dict[int, dict[int, Scalar]] = {}
 
-            def bump(m: int, i: int, j: int, c: Fraction) -> None:
+            def bump(m: int, i: int, j: int, c: Scalar) -> None:
                 row, t = per_m.setdefault(m, {}), pos_index[i, j]
                 row[t] = row.get(t, ZERO) + c
 
@@ -169,7 +170,7 @@ def inner_derivations(alg: LieSuperalgebra) -> DerivationSpace:
     return DerivationSpace(n, *(rref(sparse_matrix(flats[p], n * n)) for p in (0, 1)))
 
 
-def _vanishing(basis: EchelonBasis, values: list[dict[int, Fraction]]) -> EchelonBasis:
+def _vanishing(basis: EchelonBasis, values: list[dict[int, Scalar]]) -> EchelonBasis:
     """The elements of span(basis) on which some linear conditions vanish.
 
     values[k] maps each condition that is nonzero on the k-th basis row to
@@ -179,7 +180,7 @@ def _vanishing(basis: EchelonBasis, values: list[dict[int, Fraction]]) -> Echelo
     of the subspace: its pivots are the basis pivots that the kernel's
     pivots pick.
     """
-    conditions: dict[int, dict[int, Fraction]] = {}
+    conditions: dict[int, dict[int, Scalar]] = {}
     for k, row in enumerate(values):
         for c, x in row.items():
             conditions.setdefault(c, {})[k] = x
@@ -200,7 +201,7 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
     # the centre's basis z_0, z_1, ... as {j: z_t[j]} over its nonzeros
     cent = [dict(z) for z in full_basis(alg, center(alg)).matrix.support]
 
-    def residues(d: tuple[tuple[int, Fraction], ...]) -> dict[int, Fraction]:
+    def residues(d: tuple[tuple[int, Scalar], ...]) -> dict[int, Scalar]:
         """The residues of D(b_0), D(b_1), ... modulo [L, L] laid end to end."""
         columns: dict[int, list] = {}
         for f, x in d:
@@ -209,9 +210,9 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
         return {j * n + k: x for j, column in columns.items()
                 for k, x in reduce_mod(column, derived)[0].items()}
 
-    def central_images(d: tuple[tuple[int, Fraction], ...]) -> dict[int, Fraction]:
+    def central_images(d: tuple[tuple[int, Scalar], ...]) -> dict[int, Scalar]:
         """D(z_0), D(z_1), ... laid end to end, from the nonzeros of D's flattening."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for f, x in d:
             i, j = divmod(f, n)
             for t, z in enumerate(cent):
@@ -247,7 +248,7 @@ def der_bracket(d: GradedLinearMap, e: GradedLinearMap) -> GradedLinearMap:
         raise ValueError("maps must be square and of the same size")
     both_odd = (d.parity * e.parity) % 2
     ds, es = d.matrix.support, e.matrix.support
-    out: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    out: list[dict[int, Scalar]] = [{} for _ in range(n)]
     for i, acc in enumerate(out):
         for k, x in ds[i]:
             for j, y in es[k]:

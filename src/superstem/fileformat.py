@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-
 from .build import StructureConflictError, algebra_from_relations
 from .core import LieSuperalgebra, ValidationReport, validate
+from .linalg import Scalar, frac
 
 
 class AlgebraFormatError(ValueError):
@@ -75,7 +74,7 @@ class AlgebraFile:
     name: str
     even_names: tuple[str, ...]
     odd_names: tuple[str, ...]
-    relations: tuple[tuple[str, str, tuple[tuple[Fraction, str], ...], int], ...]
+    relations: tuple[tuple[str, str, tuple[tuple[Scalar, str], ...], int], ...]
 
 
 # The most basis names a file may declare.  The algebra is built with a dense
@@ -88,12 +87,12 @@ _RELATION_RE = re.compile(r"^\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.*\S)\s*$")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?(?:/\d+)?|\+|-|\S")
 
 
-def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Fraction, str], ...]:
+def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Scalar, str], ...]:
     if rhs.strip() == "0":
         return ()
-    terms: list[tuple[Fraction, str]] = []
-    sign = Fraction(1)
-    coeff: Fraction | None = None
+    terms: list[tuple[Scalar, str]] = []
+    sign = 1
+    coeff: Scalar | None = None
     expect_name = False
     for tok in _TOKEN_RE.finditer(rhs):
         text = tok.group(0)
@@ -102,7 +101,7 @@ def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Fraction, str]
             if expect_name or coeff is not None:
                 raise FormatSyntaxError("dangling sign inside a term", lineno, col)
             if terms and text == "+":
-                sign = Fraction(1)
+                sign = 1
             elif text == "-":
                 sign = -sign
             elif not terms:
@@ -115,13 +114,13 @@ def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Fraction, str]
             if "." in text:
                 raise BadRationalError(f"{text!r} is not a rational", lineno, col)
             try:
-                coeff = Fraction(text)
+                coeff = frac(text)
             except ZeroDivisionError:
                 raise BadRationalError(f"{text!r} has a zero denominator", lineno, col) from None
             continue
         if _NAME_RE.fullmatch(text):
-            terms.append(((coeff if coeff is not None else Fraction(1)) * sign, text))
-            sign = Fraction(1)
+            terms.append(((coeff if coeff is not None else 1) * sign, text))
+            sign = 1
             coeff = None
             expect_name = False
             continue
@@ -207,13 +206,13 @@ def build_algebra(af: AlgebraFile) -> LieSuperalgebra:
     index = {nm: i for i, nm in enumerate(names)}
     r = len(af.even_names)
 
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Scalar]] = {}
     first_line: dict[tuple[int, int], int] = {}
     for left, right, terms, lineno in af.relations:
         i, j = index[left], index[right]
-        value: dict[int, Fraction] = {}
+        value: dict[int, Scalar] = {}
         for c, nm in terms:
-            value[index[nm]] = value.get(index[nm], Fraction(0)) + c
+            value[index[nm]] = value.get(index[nm], 0) + c
         value = {k: c for k, c in value.items() if c}
         sign = -1 if (i >= r and j >= r) else 1
         mirror = {k: -sign * c for k, c in value.items()}
@@ -251,7 +250,7 @@ def parse(text: str, *, check: bool = True) -> LieSuperalgebra:
     return alg
 
 
-def _format_sum(terms: list[tuple[Fraction, str]]) -> str:
+def _format_sum(terms: list[tuple[Scalar, str]]) -> str:
     # later negative terms are written "- c x": parse rejects "+ -c x"
     out = ""
     for pos, (c, nm) in enumerate(terms):

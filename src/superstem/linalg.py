@@ -1,5 +1,14 @@
 """Exact linear algebra over the rationals.
 
+A scalar is an int when its value is integral and a Fraction in lowest
+terms, with denominator greater than 1, otherwise; no float is ever
+accepted.  Integral values stay ints because int arithmetic is about
+eighty times cheaper than Fraction arithmetic, and equality and hashing do
+not tell the two apart (Fraction(2) == 2 and both hash alike), so results
+compare exactly as they would over Fractions.  `frac` coerces inputs to
+this canonical form, and every value the kernel stores is brought back to
+it after arithmetic that may leave an integral Fraction.
+
 A Matrix stores only the nonzero (column, value) pairs of each row, in
 column order, so equality of matrices is dataclass equality; its dense rows
 are a view built on request.  Every operation is a pure function, so values
@@ -20,17 +29,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Scalar = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
-Row = tuple[tuple[int, Fraction], ...]
+Scalar = int | Fraction
+ZERO = 0
+ONE = 1
+# the nonzero (column, value) pairs of a row, in increasing column order
+Row = tuple[tuple[int, Scalar], ...]
 
 
-def frac(value) -> Fraction:
-    """Coerce an int, a string like '-2/3', or a Fraction to a Scalar."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+def _canon(x: Scalar) -> Scalar:
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def frac(value) -> Scalar:
+    """Coerce an int, a string like '-2/3', or a Fraction to a canonical Scalar.
+
+    Raises TypeError on a float: its value is a binary fraction, so 0.1
+    would silently become 3602879701896397/36028797018963968.
+    """
+    if isinstance(value, (int, Fraction)):
+        return _canon(value)
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; give an int, a Fraction or a string like '1/10'")
+    return _canon(Fraction(value))
+
+
+def _div(x: Scalar, p: Scalar) -> Scalar:
+    """x / p as a canonical Scalar; ints are divided exactly, never by `/`."""
+    if isinstance(x, int) and isinstance(p, int):
+        q, rem = divmod(x, p)
+        return Fraction(x, p) if rem else q
+    return _canon(x / p)
 
 
 @dataclass(frozen=True)
@@ -43,7 +72,7 @@ class Matrix:
     support: tuple[Row, ...]
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
         """The dense rows, filled with the shared ZERO and built on each call."""
         dense = [[ZERO] * self.cols for _ in self.support]
         for out, row in zip(dense, self.support):
@@ -53,7 +82,7 @@ class Matrix:
 
 
 def matrix(rows: Iterable[Sequence], cols: int | None = None) -> Matrix:
-    """Build a Matrix from dense rows, coercing entries to Fraction and dropping zeros."""
+    """Build a Matrix from dense rows, coercing entries with frac and dropping zeros."""
     rows = [[frac(x) for x in r] for r in rows]
     if rows:
         width = len(rows[0])
@@ -67,22 +96,25 @@ def matrix(rows: Iterable[Sequence], cols: int | None = None) -> Matrix:
     return Matrix(len(rows), cols, tuple(map(nonzeros, rows)))
 
 
-def sparse_matrix(rows: Sequence[Mapping[int, Fraction]], cols: int) -> Matrix:
-    """Build a Matrix from rows given as {column: value} dicts, dropping zeros."""
-    return Matrix(len(rows), cols, tuple(tuple(sorted((j, x) for j, x in r.items() if x)) for r in rows))
+def sparse_matrix(rows: Sequence[Mapping[int, Scalar]], cols: int) -> Matrix:
+    """Build a Matrix from rows given as {column: value} dicts of Scalars,
+    dropping zeros and turning integral Fractions into ints."""
+    return Matrix(len(rows), cols, tuple([
+        tuple(sorted([(j, x if type(x) is int else _canon(x)) for j, x in r.items() if x])) if r else ()
+        for r in rows]))
 
 
-def nonzeros(row: Sequence[Fraction]) -> Row:
+def nonzeros(row: Sequence[Scalar]) -> Row:
     """(index, value) of each nonzero entry of row, in index order.
 
-    Entries that are the shared ZERO are skipped by identity, which is much
-    cheaper than testing a Fraction's value; any other zero, such as a fresh
-    Fraction(0), is dropped by its value.
+    Entries that are the shared ZERO are skipped by identity, which is
+    cheaper than testing their value; any other zero, such as a
+    Fraction(0), is dropped by its value.  Values are kept as given.
     """
     return tuple([(j, x) for j, x in enumerate(row) if x is not ZERO and x])
 
 
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def mat_vec(m: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     if len(v) != m.cols:
         raise ValueError("vector length does not match column count")
     out = []
@@ -91,14 +123,14 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         for a, b in zip(row, v):
             if a and b:
                 acc += a * b
-        out.append(acc)
+        out.append(_canon(acc))
     return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError("inner dimensions do not match")
-    out: list[dict[int, Fraction]] = [{} for _ in a.support]
+    out: list[dict[int, Scalar]] = [{} for _ in a.support]
     for arow, acc in zip(a.support, out):
         for k, x in arow:
             for j, y in b.support[k]:
@@ -125,17 +157,17 @@ class EchelonBasis:
     def width(self) -> int:
         return self.matrix.cols
 
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         return self.matrix.entries
 
 
 def _reduce(
-    work: dict[int, Fraction], rows: Iterable[tuple[int, Iterable[tuple[int, Fraction]]]]
-) -> list[Fraction]:
+    work: dict[int, Scalar], rows: Iterable[tuple[int, Iterable[tuple[int, Scalar]]]]
+) -> list[Scalar]:
     """Clear each (pivot, nonzeros) row's pivot from work, in place.
 
     Returns the multiple of each row that was subtracted.  Entries that
-    cancel stay in work as zeros.
+    cancel stay in work as zeros; every value written is canonical.
     """
     coords = []
     for p, row in rows:
@@ -143,19 +175,21 @@ def _reduce(
         coords.append(c)
         if c:
             for j, x in row:
-                work[j] = work.get(j, ZERO) - c * x
+                y = work.get(j, ZERO) - c * x
+                work[j] = y if type(y) is int else _canon(y)
     return coords
 
 
-def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> dict[int, dict[int, Fraction]]:
+def _eliminate(rows: Iterable[Iterable[tuple[int, Scalar]]]) -> dict[int, dict[int, Scalar]]:
     """The reduced echelon form of a span, as {pivot: nonzeros of its row}.
 
     Each row is reduced against the rows kept so far, scaled to a unit pivot
-    at its first nonzero column, and its pivot is cleared from the kept
-    rows.  Kept rows are zero in each other's pivots, so the order of the
-    reductions does not matter, and each row is zero left of its pivot.
+    at its first nonzero column (only when the pivot is not already 1), and
+    its pivot is cleared from the kept rows.  Kept rows are zero in each
+    other's pivots, so the order of the reductions does not matter, and
+    each row is zero left of its pivot.
     """
-    kept: dict[int, dict[int, Fraction]] = {}
+    kept: dict[int, dict[int, Scalar]] = {}
     for row in rows:
         work = dict(row)
         _reduce(work, [(p, kept[p].items()) for p in work.keys() & kept.keys()])
@@ -163,9 +197,9 @@ def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> dict[int, dict
         if not work:
             continue
         q = min(work)
-        if work[q] != ONE:
-            inv = ONE / work[q]
-            work = {j: x * inv for j, x in work.items()}
+        pivot = work[q]
+        if pivot != ONE:
+            work = {j: _div(x, pivot) for j, x in work.items()}
         for p, other in kept.items():
             if q in other:
                 _reduce(other, ((q, work.items()),))
@@ -174,7 +208,7 @@ def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> dict[int, dict
     return kept
 
 
-def _basis(kept: dict[int, dict[int, Fraction]], width: int) -> EchelonBasis:
+def _basis(kept: dict[int, dict[int, Scalar]], width: int) -> EchelonBasis:
     pivots = tuple(sorted(kept))
     return EchelonBasis(sparse_matrix([kept[p] for p in pivots], width), pivots)
 
@@ -189,15 +223,15 @@ def empty_basis(width: int) -> EchelonBasis:
 
 
 def reduce_mod(
-    v: Iterable[tuple[int, Fraction]], b: EchelonBasis
-) -> tuple[dict[int, Fraction], tuple[Fraction, ...]]:
+    v: Iterable[tuple[int, Scalar]], b: EchelonBasis
+) -> tuple[dict[int, Scalar], tuple[Scalar, ...]]:
     """Reduce a vector, given by its (index, value) pairs, against an echelon basis.
 
     Returns (residual, coords) with v == residual + coords . rows(b) and the
     residual as a dict of its nonzero entries, so it is empty exactly when v
-    lies in the span.
+    lies in the span.  Both are canonical whatever form v's values take.
     """
-    work = dict(v)
+    work = {j: x if type(x) is int else _canon(x) for j, x in v}
     coords = _reduce(work, zip(b.pivot_cols, b.matrix.support))
     return {j: x for j, x in work.items() if x}, tuple(coords)
 

@@ -16,7 +16,7 @@ from superstem.build import (
 from superstem.catalog import get, names
 from superstem.core import SuperDim, graded_span, subspace_contains, validate, zero_subspace
 from superstem.invariants import center, derived_subalgebra
-from superstem.linalg import frac
+from superstem.linalg import frac, matrix
 
 
 def test_abelian_shape():
@@ -147,6 +147,28 @@ def test_quotient_of_top_grade_is_heisenberg():
     v = (frac(1), frac(0), frac(2), frac(5))
     diff = tuple(x - y for x, y in zip(v, qmap.lift(qmap.project(v))))
     assert subspace_contains(alg, ideal, diff)
+
+
+def test_floats_are_refused_at_every_entry_point():
+    """A float is a binary fraction (0.1 is 3602879701896397/2**55), so no
+    entry point turns one into a rational; 0.5 is refused like any other."""
+    alg = get("(4|0)_2").algebra
+    ideal = graded_span(alg, [alg.basis_vector(3)])
+    _, qmap = quotient(alg, ideal)
+    with pytest.raises(TypeError):
+        frac(0.1)
+    with pytest.raises(TypeError):
+        algebra_from_relations("x", ("e1", "e2", "e3"), (), [(0, 1, {2: 0.5})])
+    with pytest.raises(TypeError):
+        matrix([[1, 0.5]])
+    with pytest.raises(TypeError):
+        graded_span(alg, [(0, 0, 0, 0.5)])
+    with pytest.raises(TypeError):
+        subspace_contains(alg, ideal, (0, 0, 0, 0.5))
+    with pytest.raises(TypeError):
+        qmap.project((0.5, 0, 0, 0))
+    with pytest.raises(TypeError):
+        qmap.lift((0.5, 0, 0))
 
 
 def test_quotient_rejects_non_ideals():

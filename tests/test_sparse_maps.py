@@ -8,7 +8,11 @@ an entrywise combine for the bracket, and of a reduction of the n^2-wide
 flattening over every column for membership.
 `matrix()` drops zeros by identity with the shared ZERO first and then by
 value, so the robustness tests feed it dense rows whose zeros are other
-Fraction(0) objects.
+Fraction(0) objects.  Every stored scalar is canonical: an int when its
+value is integral, a Fraction only for a true rational, never a float or a
+bool; the scalar guard feeds integral Fractions such as Fraction(4, 2) in
+beside ints and checks each result against the same one built from
+Fractions alone.
 """
 
 from fractions import Fraction
@@ -18,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from superstem.catalog import entries, get
+from superstem.core import sparse_bracket
 from superstem.derivations import (
     GradedLinearMap,
     _allowed_positions,
@@ -28,12 +33,14 @@ from superstem.derivations import (
     id_star,
     inner_derivations,
 )
+from superstem.fileformat import parse
 from superstem.invariants import invariant_report
 from superstem.linalg import (
     ZERO,
     EchelonBasis,
     Matrix,
     frac,
+    intersect_spaces,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -41,6 +48,7 @@ from superstem.linalg import (
     nonzeros,
     reduce_mod,
     rref,
+    sum_spaces,
 )
 
 from test_single_pass import acceptance_corpus, rescaled
@@ -249,14 +257,21 @@ def test_sparse_reduction_matches_dense_loop(case):
     assert residual == {j: x for j, x in enumerate(want[0]) if x}
 
 
+def canonical(x):
+    """An int, or a Fraction whose denominator is greater than 1; never a
+    bool or a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def assert_canonical(m):
     """Each row's support is in increasing column order, in range and free
-    of zeros, so the stored form is the one the dense rows determine."""
+    of zeros, and each value is a canonical scalar, so the stored form is
+    the one the dense rows determine."""
     assert len(m.support) == m.rows
     for row in m.support:
         cols = [j for j, _ in row]
         assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
-        assert all(isinstance(x, Fraction) and x for _, x in row)
+        assert all(canonical(x) and x for _, x in row)
     assert matrix(m.entries, cols=m.cols) == m
 
 
@@ -308,3 +323,116 @@ def test_reports_and_closure_build_no_dense_view(no_dense_view):
         space = derivation_space(alg)
         maps = space.maps(0) + space.maps(1)
         assert all(space.contains(der_bracket(d, e)) for d in maps for e in maps)
+
+
+
+# ints, integral Fractions such as Fraction(4, 2), and true rationals
+mixed_scalars = strat.one_of(
+    strat.integers(-4, 4),
+    strat.builds(lambda k, d: Fraction(k * d, d), strat.integers(-4, 4), strat.integers(2, 4)),
+    strat.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+def mixed_rows(rows, cols):
+    return strat.lists(strat.lists(mixed_scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def as_fractions(m):
+    """The same matrix with every stored value a Fraction, integral or not,
+    built without matrix() so that nothing is made canonical on the way in."""
+    return Matrix(m.rows, m.cols, tuple(tuple((j, Fraction(x)) for j, x in row) for row in m.support))
+
+
+def forms(rows, cols):
+    """The dense rows as three Matrix values: through matrix(), with the
+    drawn values stored as they are, and with every value a Fraction."""
+    canon = matrix(rows, cols=cols)
+    raw = Matrix(len(rows), cols, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows))
+    return canon, raw, as_fractions(canon)
+
+
+def assert_same(got, want):
+    assert got == want and hash(got) == hash(want)
+
+
+@strat.composite
+def mixed_inputs(draw):
+    r, k, c, t = (draw(strat.integers(0, 5)) for _ in range(4))
+    return (forms(draw(mixed_rows(r, k)), k), forms(draw(mixed_rows(k, c)), c),
+            forms(draw(mixed_rows(t, k)), k), draw(strat.lists(mixed_scalars, min_size=k, max_size=k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_inputs())
+def test_kernel_results_are_canonical_and_match_fraction_inputs(case):
+    """Each result is canonical and equal, hash included, whether the
+    inputs went through matrix(), kept their drawn mixed values, or were
+    all Fractions."""
+    a_forms, b_forms, other_forms, vector = case
+    for canon, raw, fractions in (a_forms, b_forms, other_forms):
+        assert_canonical(canon)
+        assert_same(raw, canon)
+        assert_same(fractions, canon)
+    vectors = ([frac(x) for x in vector], vector, [Fraction(x) for x in vector])
+    results = [
+        (rref(a), kernel_basis(a), sum_spaces(rref(a), rref(other)), intersect_spaces(rref(a), rref(other)),
+         mat_mul(a, b), reduce_mod(list(enumerate(v)), rref(a)))
+        for a, b, other, v in zip(a_forms, b_forms, other_forms, vectors)
+    ]
+    for got in results:
+        *spaces, product, (residual, coords) = got
+        for m in [s.matrix for s in spaces] + [product]:
+            assert_canonical(m)
+        assert all(canonical(x) for x in coords)
+        assert all(canonical(x) and x for x in residual.values())
+    frozen = [(*got[:5], tuple(sorted(got[5][0].items())), got[5][1]) for got in results]
+    assert_same(frozen[1], frozen[0])
+    assert_same(frozen[2], frozen[0])
+
+
+@strat.composite
+def mixed_maps(draw):
+    n = draw(strat.integers(1, 5))
+    parities = draw(strat.tuples(strat.integers(0, 1), strat.integers(0, 1)))
+    return tuple(GradedLinearMap(par, matrix(draw(mixed_rows(n, n)), cols=n)) for par in parities)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_maps())
+def test_der_bracket_of_mixed_maps_is_canonical_and_matches_fractions(maps):
+    d, e = maps
+    got = der_bracket(d, e)
+    assert_canonical(got.matrix)
+    want = der_bracket(*(GradedLinearMap(m.parity, as_fractions(m.matrix)) for m in maps))
+    assert_same(got, want)
+    assert_same(got, dense_bracket(d, e))
+
+
+MIXED_ALGEBRAS = [get("(3|2)_13").algebra, rescaled(get("(3|2)_13").algebra), get("(2|2)_6").algebra]
+
+
+@settings(max_examples=100, deadline=None)
+@given(strat.sampled_from(MIXED_ALGEBRAS), strat.data())
+def test_sparse_bracket_of_mixed_vectors_is_canonical_and_matches_fractions(alg, data):
+    x, y = (data.draw(strat.lists(mixed_scalars, min_size=alg.n, max_size=alg.n)) for _ in range(2))
+    got = sparse_bracket(alg, nonzeros(x), nonzeros(y))
+    assert all(canonical(c) and c for c in got.values())
+    want = sparse_bracket(alg, [(j, Fraction(v)) for j, v in enumerate(x)],
+                          [(j, Fraction(v)) for j, v in enumerate(y)])
+    assert_same(tuple(sorted(got.items())), tuple(sorted(want.items())))
+    assert all(canonical(c) for i in range(alg.n) for j in range(alg.n) for _, c in alg.basis_bracket(i, j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(strat.integers(-6, 6).filter(bool), strat.integers(1, 4), strat.integers(1, 4))
+def test_parse_gives_canonical_constants(k, d, e):
+    """`4/2 x` parses to the int 2; a true rational stays a Fraction."""
+    text = (f'algebra "h"\neven: x1 x2 z\nodd:\n'
+            f"[x1, x2] = {k * d}/{d} z\n[x1, z] = 0\n")
+    alg = parse(text)
+    assert alg.basis_bracket(0, 1) == ((2, k),) and type(alg.basis_bracket(0, 1)[0][1]) is int
+    assert_same(alg, parse(text.replace(f"{k * d}/{d} z", f"{k} z")))
+    rational = parse(text.replace(f"{k * d}/{d} z", f"{k}/{e + 1} z"))
+    c = rational.basis_bracket(0, 1)[0][1]
+    assert canonical(c) and c == Fraction(k, e + 1)

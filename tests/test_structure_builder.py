@@ -6,9 +6,10 @@ hand it sparse brackets.  [L, L], the ideal check and projection of
 `quotient`, and the bracket and coordinate loop of `stem_decomposition` take
 brackets from `basis_bracket` and reduce against `full_basis`.  The
 references below are the dense versions they replace: brackets of dense
-basis vectors, dense membership and dense echelon forms.  The structure test
-keeps the one-builder rule from regressing, and the guard test checks that
-the library paths never build a dense bracket.
+basis vectors, dense membership and dense echelon forms.  The structure
+tests keep the one-builder rule from regressing and keep `/` and
+`Fraction(` inside linalg, and the guard test checks that the library paths
+never build a dense bracket.
 """
 
 import ast
@@ -243,4 +244,22 @@ def test_only_from_brackets_writes_the_tensor():
                     offences.append(f"{path.name}:{node.lineno} calls .{func.attr}(")
             if isinstance(node, ast.Attribute) and node.attr == "tensor" and path.name != "core.py":
                 offences.append(f"{path.name}:{node.lineno} reads .tensor")
+    assert offences == []
+
+
+def test_only_linalg_divides_or_builds_fractions():
+    """Scalars are ints when integral and Fractions only for true rationals,
+    which linalg alone makes (through frac and its exact division); `/` on
+    two ints would give a float, so no other module divides or calls
+    Fraction(."""
+    offences = []
+    for path in sorted(Path(superstem.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                offences.append(f"{path.name}:{node.lineno} divides with /")
+            if isinstance(node, ast.Call) and "Fraction" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                offences.append(f"{path.name}:{node.lineno} calls Fraction(")
     assert offences == []

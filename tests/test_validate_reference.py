@@ -1,11 +1,12 @@
 """`validate` against the dense law check it replaced.
 
-`validate` reads only the sparse brackets of basis pairs.  The reference
+`validate` reads only the sparse brackets of basis pairs, and its Jacobi
+check visits only the triples with a nonzero inner bracket.  The reference
 below is the earlier version, which compared skew symmetry over the dense
-structure tensor; both must give identical reports, every law flag and
-every (law, indices, detail), on the acceptance corpus and on corrupted
-copies of it, some of whose overwritten constants are fresh Fraction(0)
-objects.
+structure tensor and visited every triple i <= j <= k; both must give
+identical reports, every law flag and every (law, indices, detail), on the
+acceptance corpus, on H(25,0) and tower(30), and on corrupted copies of
+them, some of whose overwritten constants are fresh Fraction(0) objects.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
+from superstem.build import heisenberg_even, tower
 from superstem.core import LawViolation, LieSuperalgebra, ValidationReport, validate
 from superstem.linalg import ZERO
 
@@ -104,16 +106,27 @@ values = strat.one_of(
 )
 
 
+# sparse and large: 50 and 62 nonzero ordered brackets, n = 51 and 33
+LARGE = [heisenberg_even(25, 0), tower(30)]
+
+
+@pytest.mark.parametrize("alg", LARGE, ids=lambda a: a.name)
+def test_large_sparse_algebras_match_dense(alg):
+    rep = validate(alg)
+    assert rep == dense_validate(alg)
+    assert rep.ok
+
+
 @strat.composite
-def corrupted(draw):
-    """A corpus algebra with 1-3 structure constants overwritten; each write
-    may also set the signed mirror, so that skew symmetry can hold while
-    grading or Jacobi fail."""
-    alg = CORPUS[draw(strat.integers(0, len(CORPUS) - 1))]
+def corrupted(draw, pool=CORPUS, writes=(1, 3)):
+    """An algebra of the pool with some structure constants overwritten
+    (1-3 by default); each write may also set the signed mirror, so that
+    skew symmetry can hold while grading or Jacobi fail."""
+    alg = pool[draw(strat.integers(0, len(pool) - 1))]
     n = alg.n
     tensor = [[list(row) for row in plane] for plane in alg.tensor]
     index = strat.integers(0, n - 1)
-    for _ in range(draw(strat.integers(1, 3))):
+    for _ in range(draw(strat.integers(*writes))):
         i, j, k = draw(index), draw(index), draw(index)
         c = draw(values)
         tensor[i][j][k] = c
@@ -127,3 +140,28 @@ def corrupted(draw):
 @given(corrupted())
 def test_corruptions_match_dense(alg):
     assert validate(alg) == dense_validate(alg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(corrupted(LARGE, (1, 1)))
+def test_large_algebras_with_one_corrupted_constant_match_dense(alg):
+    assert validate(alg) == dense_validate(alg)
+
+
+@pytest.mark.parametrize("alg, spot, first", [
+    (LARGE[0], (30, 40, 7), (30, 32, 40)),   # [x31, x41] = x8, and [x8, x33] = z
+    (LARGE[1], (20, 25, 27), (0, 19, 25)),   # [s20, s25] = s27, and [s, s19] = s20
+], ids=("H(25,0)", "tower(30)"))
+def test_late_jacobi_violation_is_found_first_in_order(alg, spot, first):
+    """One skew-consistent corrupted bracket: the first Jacobi violation in
+    i <= j <= k order is the dense reference's, well past the first triples."""
+    i, j, k = spot
+    tensor = [[list(row) for row in plane] for plane in alg.tensor]
+    tensor[i][j][k] = Fraction(1)
+    tensor[j][i][k] = Fraction(-1)
+    broken = LieSuperalgebra(alg.name, alg.even_names, alg.odd_names,
+                             tuple(tuple(map(tuple, plane)) for plane in tensor))
+    rep = validate(broken)
+    assert rep == dense_validate(broken)
+    assert rep.skew_ok and rep.grading_ok and not rep.jacobi_ok
+    assert rep.violations[0].indices == first
