@@ -10,7 +10,18 @@ from .linalg import ONE, ZERO, Scalar, frac, nonzeros, reduce_mod
 
 
 class StructureConflictError(ValueError):
-    """Two declared relations force incompatible structure constants."""
+    """A relation list that defines no structure constants.
+
+    `relation` is the position of the failing relation in the list given to
+    algebra_from_relations (None when the basis names clash), and `earlier`
+    the position of the relation whose mirror it contradicts, None for an
+    even self-bracket or an index out of range.
+    """
+
+    def __init__(self, message: str, relation: int | None = None, earlier: int | None = None):
+        super().__init__(message)
+        self.relation = relation
+        self.earlier = earlier
 
 
 class NotIdealError(ValueError):
@@ -41,25 +52,27 @@ def algebra_from_relations(
     def parity(i: int) -> int:
         return 0 if i < r else 1
 
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i, j, terms in relations:
+    # the value of each ordered pair, and the position of the relation that set it
+    table: dict[tuple[int, int], tuple[dict[int, Scalar], int]] = {}
+    for pos, (i, j, terms) in enumerate(relations):
         if not (0 <= i < n and 0 <= j < n):
-            raise StructureConflictError(f"basis index out of range in relation ({i}, {j})")
+            raise StructureConflictError(f"basis index out of range in relation ({i}, {j})", pos)
         if any(not 0 <= k < n for k in terms):
-            raise StructureConflictError(f"target index out of range in relation ({i}, {j})")
-        value = {k: frac(c) for k, c in terms.items() if frac(c)}
+            raise StructureConflictError(f"target index out of range in relation ({i}, {j})", pos)
+        value = {k: c for k, x in terms.items() if (c := frac(x))}
         sign = -1 if (parity(i) * parity(j)) % 2 else 1
         mirror = {k: -sign * c for k, c in value.items()}
         if i == j and value != mirror:
             raise StructureConflictError(
-                f"[{names[i]}, {names[i]}] must vanish for an even basis vector")
+                f"[{names[i]}, {names[i]}] must vanish for an even basis vector", pos)
         for key, val in ((i, j), value), ((j, i), mirror):
-            if key in table and table[key] != val:
+            if key not in table:
+                table[key] = val, pos
+            elif table[key][0] != val:
                 raise StructureConflictError(
-                    f"conflicting values for [{names[key[0]]}, {names[key[1]]}]")
-            table[key] = val
+                    f"conflicting values for [{names[key[0]]}, {names[key[1]]}]", pos, table[key][1])
 
-    return from_brackets(name, even_names, odd_names, {key: val.items() for key, val in table.items()})
+    return from_brackets(name, even_names, odd_names, {key: val.items() for key, (val, _) in table.items()})
 
 
 def abelian(k: int, l: int) -> LieSuperalgebra:
@@ -174,8 +187,8 @@ class QuotientMap:
 
     def project(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         r = self.domain_even
-        ev_res, _ = reduce_mod(nonzeros([frac(x) for x in v[:r]]), self.ideal.even)
-        od_res, _ = reduce_mod(nonzeros([frac(x) for x in v[r:]]), self.ideal.odd)
+        ev_res = reduce_mod(nonzeros([frac(x) for x in v[:r]]), self.ideal.even)
+        od_res = reduce_mod(nonzeros([frac(x) for x in v[r:]]), self.ideal.odd)
         return tuple(ev_res.get(i, ZERO) for i in self.even_kept) + tuple(
             od_res.get(i, ZERO) for i in self.odd_kept)
 
@@ -198,7 +211,7 @@ def quotient(alg: LieSuperalgebra, ideal: GradedSubspace) -> tuple[LieSuperalgeb
     full = full_basis(alg, ideal)
     for row in full.matrix.support:
         for i in range(alg.n):
-            if reduce_mod(sparse_bracket(alg, ((i, ONE),), row).items(), full)[0]:
+            if reduce_mod(sparse_bracket(alg, ((i, ONE),), row).items(), full):
                 raise NotIdealError(
                     f"[{alg.basis_names[i]}, -] leaves the subspace")
 
@@ -213,7 +226,7 @@ def quotient(alg: LieSuperalgebra, ideal: GradedSubspace) -> tuple[LieSuperalgeb
     kept = even_kept + tuple(r + i for i in odd_kept)
     new = {k: t for t, k in enumerate(kept)}
     brackets = {
-        (a, b): [(new[k], c) for k, c in reduce_mod(alg.basis_bracket(i, j), full)[0].items()]
+        (a, b): [(new[k], c) for k, c in reduce_mod(alg.basis_bracket(i, j), full).items()]
         for a, i in enumerate(kept)
         for b, j in enumerate(kept)
     }

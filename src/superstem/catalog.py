@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import abelian, algebra_from_relations, direct_sum
+from .build import algebra_from_relations
 from .core import LieSuperalgebra, SuperDim
 from .invariants import _nilpotent_report, st
 from .linalg import frac
@@ -325,16 +325,15 @@ def verify_classification() -> ClassificationReport:
     catalog entry whose computed st is one of the classified values appears
     as a head of that item, and every other entry has t >= 3.
     """
-    from .classify import classified_values, heads_for
+    from .classify import _padded, classified_values, heads_for
 
     checks: list[ClassificationCheck] = []
     for value in classified_values():
         for head_name, head_alg in heads_for(value):
             for a in range(_MAX_PAD + 1):
                 for b in range(_MAX_PAD + 1):
-                    alg = direct_sum(head_alg, abelian(a, b)) if a or b else head_alg
+                    desc, alg = _padded(head_alg, head_name, SuperDim(a, b))
                     got = st(alg)
-                    desc = head_name if not (a or b) else f"{head_name} + A({a}|{b})"
                     checks.append(ClassificationCheck(desc, value, got, got == value))
 
     classified = set(classified_values())

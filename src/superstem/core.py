@@ -321,13 +321,13 @@ def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
 def subspace_contains(alg: LieSuperalgebra, space: GradedSubspace, v: Sequence[Scalar]) -> bool:
     if len(v) != alg.n:
         raise ValueError("coordinate vectors must have full length")
-    return not reduce_mod(nonzeros([frac(x) for x in v]), full_basis(alg, space))[0]
+    return not reduce_mod(nonzeros([frac(x) for x in v]), full_basis(alg, space))
 
 
 def subspace_leq(a: GradedSubspace, b: GradedSubspace) -> bool:
     """Whether a is contained in b, partwise."""
     pairs = ((a.even, b.even), (a.odd, b.odd))
-    return all(not reduce_mod(row, big)[0] for small, big in pairs for row in small.matrix.support)
+    return all(not reduce_mod(row, big) for small, big in pairs for row in small.matrix.support)
 
 
 def full_basis(alg: LieSuperalgebra, space: GradedSubspace) -> EchelonBasis:

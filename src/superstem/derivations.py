@@ -91,13 +91,13 @@ class DerivationSpace:
         if m.matrix.rows * cols != part.width:
             raise ValueError("vector length does not match basis width")
         flat = ((i * cols + j, x) for i, row in enumerate(m.matrix.support) for j, x in row)
-        return not reduce_mod(flat, part)[0]
+        return not reduce_mod(flat, part)
 
     def leq(self, other: "DerivationSpace") -> bool:
         if self.n != other.n:
             raise ValueError("ambient widths differ")
         return all(
-            not reduce_mod(row, other.part(par))[0]
+            not reduce_mod(row, other.part(par))
             for par in (0, 1)
             for row in self.part(par).matrix.support
         )
@@ -208,7 +208,7 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
             i, j = divmod(f, n)
             columns.setdefault(j, []).append((i, x))
         return {j * n + k: x for j, column in columns.items()
-                for k, x in reduce_mod(column, derived)[0].items()}
+                for k, x in reduce_mod(column, derived).items()}
 
     def central_images(d: tuple[tuple[int, Scalar], ...]) -> dict[int, Scalar]:
         """D(z_0), D(z_1), ... laid end to end, from the nonzeros of D's flattening."""

@@ -201,40 +201,27 @@ def parse_file(text: str) -> AlgebraFile:
 
 
 def build_algebra(af: AlgebraFile) -> LieSuperalgebra:
-    """Turn a parsed file into an algebra, filling mirrors by skew symmetry."""
-    names = af.even_names + af.odd_names
-    index = {nm: i for i, nm in enumerate(names)}
-    r = len(af.even_names)
-
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    first_line: dict[tuple[int, int], int] = {}
-    for left, right, terms, lineno in af.relations:
-        i, j = index[left], index[right]
+    """Turn a parsed file into an algebra; algebra_from_relations fills in
+    the mirrors and finds conflicts, which are reported by line."""
+    index = {nm: i for i, nm in enumerate(af.even_names + af.odd_names)}
+    rels = []
+    for left, right, terms, _ in af.relations:
         value: dict[int, Scalar] = {}
         for c, nm in terms:
             value[index[nm]] = value.get(index[nm], 0) + c
-        value = {k: c for k, c in value.items() if c}
-        sign = -1 if (i >= r and j >= r) else 1
-        mirror = {k: -sign * c for k, c in value.items()}
-        if i == j and value != mirror:
-            raise ConflictingRelationError(
-                f"[{left}, {left}] must vanish for an even basis vector", lineno)
-        for key, val in ((i, j), value), ((j, i), mirror):
-            if key in table:
-                if table[key] != val:
-                    raise ConflictingRelationError(
-                        f"[{names[key[0]]}, {names[key[1]]}] conflicts with the "
-                        f"relation on line {first_line[key]} (super skew symmetry)",
-                        lineno)
-            else:
-                table[key] = val
-                first_line[key] = lineno
-
-    rels = [(i, j, val) for (i, j), val in table.items()]
+        rels.append((index[left], index[right], value))
     try:
         return algebra_from_relations(af.name, af.even_names, af.odd_names, rels)
-    except StructureConflictError as exc:  # defensive; conflicts are caught above
-        raise ConflictingRelationError(str(exc)) from None
+    except StructureConflictError as exc:
+        message, line = str(exc), None
+        if exc.relation is not None:
+            left, right, _, line = af.relations[exc.relation]
+            if exc.earlier is not None:
+                # parse_file refuses a pair declared twice, so the relation's
+                # own pair is the one an earlier relation's mirror fixed
+                message = (f"[{left}, {right}] conflicts with the relation on line "
+                           f"{af.relations[exc.earlier][3]} (super skew symmetry)")
+        raise ConflictingRelationError(message, line) from None
 
 
 def parse(text: str, *, check: bool = True) -> LieSuperalgebra:

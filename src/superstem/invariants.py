@@ -59,7 +59,7 @@ def _central_step_part(alg: LieSuperalgebra, z: GradedSubspace, parity: int) -> 
             support = alg.basis_bracket(offset + col, j)
             if not support:
                 continue
-            residue, _ = reduce_mod(((k - t_offset, c) for k, c in support), target)
+            residue = reduce_mod(((k - t_offset, c) for k, c in support), target)
             for k, c in residue.items():
                 per_k.setdefault(k, {})[col] = c
         rows.extend(per_k.values())
@@ -207,7 +207,7 @@ def _extend(ech: EchelonBasis, candidates) -> list:
     candidates kept before them."""
     added = []
     for v in candidates:
-        if reduce_mod(v, ech)[0]:
+        if reduce_mod(v, ech):
             added.append(v)
             ech = sum_spaces(ech, _span([v], ech.width))
     return added
@@ -242,10 +242,12 @@ def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]
     brackets = {}
     for a, va in enumerate(rows):
         for b, vb in enumerate(rows):
-            residual, coords = reduce_mod(sparse_bracket(alg, va, vb).items(), basis)
-            if residual:
+            w = sparse_bracket(alg, va, vb)
+            if reduce_mod(w.items(), basis):
                 raise StemDecompositionError("bracket left the stem part")
-            brackets[a, b] = [(k, c) for k, c in enumerate(coords) if c]
+            # the basis is in reduced echelon form, so the coordinates of w
+            # are its values at the pivot columns
+            brackets[a, b] = [(t, w[p]) for t, p in enumerate(basis.pivot_cols) if p in w]
     p, q = t_space.sdim.even, t_space.sdim.odd
     t_alg = from_brackets(
         f"stem({alg.name})",

@@ -19,8 +19,9 @@ There is one sparse kernel: a reduction loop over rows given by the
 (column, value) pairs of their nonzero entries.  Elimination inserts the
 rows of a matrix one at a time, reducing each against the rows kept so far
 and clearing its pivot from them; `reduce_mod` reduces one vector against
-the stored rows of an echelon basis; kernels and intersections are
-eliminations of sparse rows built from an echelon form.
+the stored rows of an echelon basis and returns the residual only (the
+coordinates of a member are its values at the pivot columns); kernels and
+intersections are eliminations of sparse rows built from an echelon form.
 """
 
 from __future__ import annotations
@@ -163,21 +164,18 @@ class EchelonBasis:
 
 def _reduce(
     work: dict[int, Scalar], rows: Iterable[tuple[int, Iterable[tuple[int, Scalar]]]]
-) -> list[Scalar]:
+) -> None:
     """Clear each (pivot, nonzeros) row's pivot from work, in place.
 
-    Returns the multiple of each row that was subtracted.  Entries that
-    cancel stay in work as zeros; every value written is canonical.
+    Entries that cancel stay in work as zeros; every value written is
+    canonical.
     """
-    coords = []
     for p, row in rows:
         c = work.get(p, ZERO)
-        coords.append(c)
         if c:
             for j, x in row:
                 y = work.get(j, ZERO) - c * x
                 work[j] = y if type(y) is int else _canon(y)
-    return coords
 
 
 def _eliminate(rows: Iterable[Iterable[tuple[int, Scalar]]]) -> dict[int, dict[int, Scalar]]:
@@ -222,18 +220,18 @@ def empty_basis(width: int) -> EchelonBasis:
     return EchelonBasis(Matrix(0, width, ()), ())
 
 
-def reduce_mod(
-    v: Iterable[tuple[int, Scalar]], b: EchelonBasis
-) -> tuple[dict[int, Scalar], tuple[Scalar, ...]]:
-    """Reduce a vector, given by its (index, value) pairs, against an echelon basis.
+def reduce_mod(v: Iterable[tuple[int, Scalar]], b: EchelonBasis) -> dict[int, Scalar]:
+    """The residual of a vector, given by its (index, value) pairs, modulo an
+    echelon basis, as a dict of its nonzero canonical entries.
 
-    Returns (residual, coords) with v == residual + coords . rows(b) and the
-    residual as a dict of its nonzero entries, so it is empty exactly when v
-    lies in the span.  Both are canonical whatever form v's values take.
+    It is empty exactly when v lies in the span.  Every row of b is zero at
+    the other rows' pivots, so the multiple of row t taken off is v's value
+    at pivot column t: for a member, the coordinates are its values at the
+    pivot columns.
     """
     work = {j: x if type(x) is int else _canon(x) for j, x in v}
-    coords = _reduce(work, zip(b.pivot_cols, b.matrix.support))
-    return {j: x for j, x in work.items() if x}, tuple(coords)
+    _reduce(work, zip(b.pivot_cols, b.matrix.support))
+    return {j: x for j, x in work.items() if x}
 
 
 def sum_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:

@@ -1,17 +1,15 @@
 """JSON views of report objects.
 
-Keys are emitted in a fixed order, graded dimensions as [even, odd] pairs,
-rationals as strings like "2" or "-1/3", so byte-identical inputs give
-byte-identical output.
+Keys are emitted in a fixed order and graded dimensions as [even, odd]
+pairs, so byte-identical inputs give byte-identical output.  No report
+carries a rational, so every value is a plain JSON type.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .catalog import ClassificationReport, Table1Report
-from .classify import FamilyInstance
 from .core import SuperDim, ValidationReport
 from .derivations import DerivationReport, IdStarBoundReport
 from .invariants import InvariantReport, PropositionAuditReport, SchurBoundReport
@@ -130,16 +128,6 @@ def classification_dict(rep: ClassificationReport) -> dict:
     }
 
 
-def instances_dict(instances: tuple[FamilyInstance, ...]) -> dict:
-    return {
-        "instances": [
-            {"description": i.description, "sdim": _sd(i.algebra.sdim), "st": _sd(i.st)}
-            for i in instances
-        ],
-        "count": len(instances),
-    }
-
-
 _DISPATCH = {
     InvariantReport: invariant_dict,
     ValidationReport: validation_dict,
@@ -152,19 +140,9 @@ _DISPATCH = {
 }
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def emit_report(report) -> str:
     """Render any report object as stable, indented JSON text."""
     fn = _DISPATCH.get(type(report))
     if fn is None:
         raise TypeError(f"no JSON view for {type(report).__name__}")
-    return json.dumps(_jsonable(fn(report)), indent=2) + "\n"
+    return json.dumps(fn(report), indent=2) + "\n"

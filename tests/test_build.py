@@ -101,6 +101,18 @@ def test_mirror_fill_and_conflicts():
         )
 
 
+@pytest.mark.parametrize("relations, where", [
+    ([(0, 1, {2: 1}), (1, 0, {2: 1})], (1, 0)),
+    ([(0, 1, {2: 1}), (1, 2, {}), (1, 1, {2: 1})], (2, None)),
+    ([(0, 1, {2: 1}), (0, 2, {3: 1})], (1, None)),
+])
+def test_conflict_names_the_relations(relations, where):
+    # a mirror conflict, an even self-bracket, a target index out of range
+    with pytest.raises(StructureConflictError) as info:
+        algebra_from_relations("bad", ("e1", "e2", "e3"), (), relations)
+    assert (info.value.relation, info.value.earlier) == where
+
+
 def test_direct_sum_blocks_and_names():
     a = get("(2|2)_6").algebra
     b = abelian(1, 2)

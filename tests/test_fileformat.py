@@ -8,6 +8,7 @@ from superstem.build import algebra_from_relations, heisenberg_even, heisenberg_
 from superstem.catalog import get, names
 from superstem.fileformat import (
     MAX_BASIS,
+    AlgebraFile,
     AlgebraFormatError,
     BadRationalError,
     ConflictingRelationError,
@@ -15,6 +16,7 @@ from superstem.fileformat import (
     FormatSyntaxError,
     UnknownBasisNameError,
     ValidationFailedError,
+    build_algebra,
     export,
     parse,
     parse_file,
@@ -141,9 +143,27 @@ def test_conflicting_mirror_orientations():
     with pytest.raises(ConflictingRelationError) as info:
         parse(text)
     assert info.value.line == 5
+    assert "[e2, e1] conflicts with the relation on line 4" in str(info.value)
     # consistent restatement of the mirror is accepted
     ok = 'algebra "x"\neven: e1 e2 e3\nodd:\n[e1, e2] = e3\n[e2, e1] = -1 e3\n'
     assert parse(ok).tensor == parse('algebra "x"\neven: e1 e2 e3\nodd:\n[e1, e2] = e3\n').tensor
+
+
+def test_odd_mirror_conflict_names_both_lines():
+    # [f2, f1] = [f1, f2] for odd f1, f2, so "-1 e1" contradicts line 4
+    text = 'algebra "x"\neven: e1\nodd: f1 f2\n[f1, f2] = e1\n[f2, f1] = -1 e1\n'
+    with pytest.raises(ConflictingRelationError) as info:
+        parse(text)
+    assert info.value.line == 5
+    assert str(info.value) == (
+        "[f2, f1] conflicts with the relation on line 4 (super skew symmetry) (line 5)")
+    assert parse(text.replace("-1 e1", "e1")).tensor == parse(text.split("[f2")[0]).tensor
+
+
+def test_clashing_names_in_a_hand_made_file():
+    with pytest.raises(ConflictingRelationError) as info:
+        build_algebra(AlgebraFile("x", ("e1", "e1"), (), ()))
+    assert info.value.line is None and str(info.value) == "duplicate basis names"
 
 
 def test_even_self_bracket_rejected():

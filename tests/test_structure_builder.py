@@ -48,7 +48,7 @@ from superstem.invariants import (
     stem_decomposition,
     upper_central_series,
 )
-from superstem.linalg import frac, mat_mul, matrix, nonzeros, reduce_mod, rref, sum_spaces
+from superstem.linalg import frac, mat_mul, matrix, rref, sum_spaces
 from test_single_pass import acceptance_corpus
 
 # catalog entries plus abelian summands, so that stem parts have a complement
@@ -58,8 +58,15 @@ CORPUS = acceptance_corpus() + [
 
 
 def membership(v, b):
-    residual, coords = reduce_mod(nonzeros([frac(x) for x in v]), b)
-    return (False, None) if residual else (True, coords)
+    """(whether v is in the span of b, its coordinates), by subtracting from
+    dense v the multiple of each row of b that clears the row's pivot."""
+    work = [frac(x) for x in v]
+    coords = []
+    for row, p in zip(b.rows(), b.pivot_cols):
+        c = work[p]
+        coords.append(c)
+        work = [w - c * x for w, x in zip(work, row)]
+    return (False, None) if any(work) else (True, tuple(coords))
 
 
 def echelon(rows, width):
