@@ -11,8 +11,11 @@ Files: the 32 catalog entries, H(10,0), tower(20), tower(30), H(12,6), three
 files whose relations contradict super skew symmetry, and every other
 algebra text written as a string literal in tests/test_cli.py and
 tests/test_fileformat.py.  Each runs under validate, invariants and
-derivations (text and --json) and bounds.  The three `catalog verify` forms
-follow.  The CLI runs in this process, on files written to a temporary
+derivations (text and --json) and bounds.  The file-free commands follow:
+the three `catalog verify` forms, `catalog list`, `catalog show` of every
+entry, `classify` of the six classified st values at six graded dimensions
+and of one unsupported value, and `make` of each family at two sizes, to
+stdout.  The CLI runs in this process, on files written to a temporary
 directory and named relative to it, so no path differs between runs.
 """
 
@@ -27,6 +30,7 @@ from pathlib import Path
 
 from superstem.build import heisenberg_even, tower
 from superstem.catalog import entries
+from superstem.classify import classified_values
 from superstem.cli import main
 from superstem.fileformat import export
 
@@ -46,6 +50,31 @@ COMMANDS = (
     ["derivations", "--json"],
     ["bounds"],
 )
+
+
+CLASSIFY_SDIMS = ("2,2", "3,3", "5,1", "1,4", "4,4", "6,2")
+
+MAKES = (
+    ["heisenberg-even", "1", "1"],
+    ["heisenberg-even", "3", "2"],
+    ["heisenberg-odd", "1"],
+    ["heisenberg-odd", "3"],
+    ["tower", "1"],
+    ["tower", "6"],
+    ["abelian", "0", "1"],
+    ["abelian", "3", "2"],
+)
+
+
+def file_free_commands() -> list[list[str]]:
+    cmds = [["catalog", "verify", *flags] for flags in ([], ["--table1"], ["--classification"])]
+    cmds.append(["catalog", "list"])
+    cmds += [["catalog", "show", e.name] for e in entries()]
+    for value in classified_values():
+        cmds += [["classify", "--st", f"{value.even},{value.odd}", "--sdim", sd] for sd in CLASSIFY_SDIMS]
+    cmds.append(["classify", "--st", "3,0", "--sdim", "3,3"])
+    cmds += [["make", *args] for args in MAKES]
+    return cmds
 
 
 def literal_texts(path: Path) -> list[str]:
@@ -100,8 +129,7 @@ def snapshot() -> None:
                     print(f"{' '.join(cmd)} | {label} | {run(cmd[:1] + [name] + cmd[1:])}", flush=True)
         finally:
             os.chdir(home)
-        for flags in ([], ["--table1"], ["--classification"]):
-            argv = ["catalog", "verify", *flags]
+        for argv in file_free_commands():
             print(f"{' '.join(argv)} | - | {run(argv)}", flush=True)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import GradedSubspace, LieSuperalgebra, from_brackets, full_basis, sparse_bracket
+from .core import GradedSubspace, LieSuperalgebra, from_brackets, sparse_bracket
 from .linalg import ONE, ZERO, Scalar, frac, nonzeros, reduce_mod
 
 
@@ -174,62 +174,47 @@ def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra) -> LieSuperalgebra:
 class QuotientMap:
     """Projection onto L/I and the section that lifts cosets back into L.
 
-    Coordinates kept in the quotient are the non-pivot coordinates of the
-    ideal's echelon bases, so lift(project(v)) differs from v by an element
-    of I and project(lift(w)) == w.
+    The coordinates kept in the quotient are the non-pivot columns of the
+    ideal's echelon basis, in increasing order, so lift(project(v)) differs
+    from v by an element of I and project(lift(w)) == w.
     """
 
     ideal: GradedSubspace
-    domain_even: int
-    domain_odd: int
-    even_kept: tuple[int, ...]
-    odd_kept: tuple[int, ...]
+    kept: tuple[int, ...]
 
     def project(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        r = self.domain_even
-        ev_res = reduce_mod(nonzeros([frac(x) for x in v[:r]]), self.ideal.even)
-        od_res = reduce_mod(nonzeros([frac(x) for x in v[r:]]), self.ideal.odd)
-        return tuple(ev_res.get(i, ZERO) for i in self.even_kept) + tuple(
-            od_res.get(i, ZERO) for i in self.odd_kept)
+        residue = reduce_mod(nonzeros([frac(x) for x in v]), self.ideal.basis)
+        return tuple(residue.get(i, ZERO) for i in self.kept)
 
     def lift(self, w: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        ev = [ZERO] * self.domain_even
-        od = [ZERO] * self.domain_odd
-        ne = len(self.even_kept)
-        for pos, x in zip(self.even_kept, w[:ne]):
-            ev[pos] = frac(x)
-        for pos, x in zip(self.odd_kept, w[ne:]):
-            od[pos] = frac(x)
-        return tuple(ev) + tuple(od)
+        out = [ZERO] * self.ideal.basis.width
+        for pos, x in zip(self.kept, w):
+            out[pos] = frac(x)
+        return tuple(out)
 
 
 def quotient(alg: LieSuperalgebra, ideal: GradedSubspace) -> tuple[LieSuperalgebra, QuotientMap]:
     """Quotient superalgebra L/I together with its projection map."""
-    r, s = alg.sdim.even, alg.sdim.odd
-    if ideal.even.width != r or ideal.odd.width != s:
+    r, basis = alg.sdim.even, ideal.basis
+    if basis.width != alg.n or ideal.even_width != r:
         raise ValueError("ideal widths do not match the algebra")
-    full = full_basis(alg, ideal)
-    for row in full.matrix.support:
+    for row in basis.matrix.support:
         for i in range(alg.n):
-            if reduce_mod(sparse_bracket(alg, ((i, ONE),), row).items(), full):
+            if reduce_mod(sparse_bracket(alg, ((i, ONE),), row).items(), basis):
                 raise NotIdealError(
                     f"[{alg.basis_names[i]}, -] leaves the subspace")
 
-    even_pivots = set(ideal.even.pivot_cols)
-    odd_pivots = set(ideal.odd.pivot_cols)
-    even_kept = tuple(i for i in range(r) if i not in even_pivots)
-    odd_kept = tuple(i for i in range(s) if i not in odd_pivots)
-    qmap = QuotientMap(ideal, r, s, even_kept, odd_kept)
-
+    pivots = set(basis.pivot_cols)
+    kept = tuple(i for i in range(alg.n) if i not in pivots)
     # brackets of the kept basis vectors, reduced modulo the ideal; the
     # residues live on the kept coordinates alone
-    kept = even_kept + tuple(r + i for i in odd_kept)
     new = {k: t for t, k in enumerate(kept)}
     brackets = {
-        (a, b): [(new[k], c) for k, c in reduce_mod(alg.basis_bracket(i, j), full).items()]
+        (a, b): [(new[k], c) for k, c in reduce_mod(alg.basis_bracket(i, j), basis).items()]
         for a, i in enumerate(kept)
         for b, j in enumerate(kept)
     }
-    q_even_names = tuple(alg.even_names[i] for i in even_kept)
-    q_odd_names = tuple(alg.odd_names[i] for i in odd_kept)
-    return from_brackets(f"{alg.name}/~", q_even_names, q_odd_names, brackets), qmap
+    names = alg.basis_names
+    q_even_names = tuple(names[i] for i in kept if i < r)
+    q_odd_names = tuple(names[i] for i in kept if i >= r)
+    return from_brackets(f"{alg.name}/~", q_even_names, q_odd_names, brackets), QuotientMap(ideal, kept)

@@ -12,7 +12,7 @@ import sys
 
 from . import catalog, fileformat, reports
 from .build import abelian, heisenberg_even, heisenberg_odd, tower
-from .classify import UnsupportedStError, classify_by_st
+from .classify import classify_by_st
 from .core import SuperDim, validate
 from .derivations import derivation_report, idstar_bound_check
 from .invariants import (
@@ -28,7 +28,7 @@ def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     try:
@@ -179,7 +179,8 @@ def _cmd_classify(args) -> int:
         return USER_ERROR
     try:
         instances = classify_by_st(value, sdim)
-    except UnsupportedStError as exc:
+    except ValueError as exc:
+        # an unclassified st value, or a graded dimension too large to build
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
     for inst in instances:

@@ -8,17 +8,21 @@ the sparse brackets of basis pairs.  The tensor is read once, into the
 sparse brackets that `basis_bracket` returns, with each coefficient made
 canonical by `linalg.frac` (an int when integral); brackets, spans, law
 validation and everything built on them use those.
+
+A graded subspace is one reduced echelon basis in these n coordinates.  Its
+rows are homogeneous, so every reader works in full coordinates and the
+graded dimension is read from which side of r each pivot falls.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
     EchelonBasis,
-    Matrix,
     ONE,
     ZERO,
     Scalar,
@@ -71,6 +75,10 @@ class SuperDim:
 
 
 Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
+
+# The most basis vectors an algebra may have: the structure tensor holds
+# n x n x n values, so larger algebras are refused before it is built.
+MAX_BASIS = 128
 
 
 @dataclass(frozen=True)
@@ -135,10 +143,13 @@ def from_brackets(
     brackets[i, j], each k at most once; pairs left out bracket to zero.
 
     No law is checked and no orientation is filled in.  This is the one
-    place that writes a structure tensor.
+    place that writes a structure tensor; it raises ValueError for more than
+    MAX_BASIS basis vectors.
     """
     even_names, odd_names = tuple(even_names), tuple(odd_names)
     n = len(even_names) + len(odd_names)
+    if n > MAX_BASIS:
+        raise ValueError(f"{n} basis vectors, more than the {MAX_BASIS} an algebra may have")
     zero_row = (ZERO,) * n
     tensor = [[zero_row] * n for _ in range(n)]
     for (i, j), pairs in brackets.items():
@@ -263,41 +274,44 @@ def validate(alg: LieSuperalgebra) -> ValidationReport:
 
 @dataclass(frozen=True)
 class GradedSubspace:
-    """A graded subspace held as echelon bases of its even and odd parts.
+    """A graded subspace held as one reduced echelon basis of width n.
 
-    The even basis lives in even coordinates (width r), the odd basis in odd
-    coordinates (width s); equality of graded subspaces is dataclass equality.
+    Every row is homogeneous: its nonzeros lie all below even_width (an even
+    row) or all from it on (an odd row).  The even rows' pivots are the ones
+    below even_width, so they come first.  Equality of graded subspaces is
+    dataclass equality.
     """
 
-    even: EchelonBasis
-    odd: EchelonBasis
+    basis: EchelonBasis
+    even_width: int
 
     @property
     def sdim(self) -> SuperDim:
-        return SuperDim(self.even.dim, self.odd.dim)
+        even = bisect_left(self.basis.pivot_cols, self.even_width)
+        return SuperDim(even, self.basis.dim - even)
 
 
 def zero_subspace(alg: LieSuperalgebra) -> GradedSubspace:
-    return GradedSubspace(empty_basis(alg.sdim.even), empty_basis(alg.sdim.odd))
+    return GradedSubspace(empty_basis(alg.n), alg.sdim.even)
 
 
 def sparse_span(alg: LieSuperalgebra, vectors: Iterable[Iterable[tuple[int, Scalar]]]) -> GradedSubspace:
-    """Span of homogeneous vectors given by their (index, value) pairs, split
-    by parity and echelonized.
+    """Span of homogeneous vectors given by their (index, value) pairs,
+    echelonized.
 
     Raises MixedParityError when a vector has both even and odd nonzeros.
     """
     r = alg.sdim.even
-    parts: tuple[list, list] = ([], [])
+    rows = []
     for v in vectors:
-        v = [(k, x) for k, x in v if x]
+        v = {k: x for k, x in v if x}
         if not v:
             continue
-        odd = v[0][0] >= r
-        if any((k >= r) != odd for k, _ in v):
+        odd = min(v) >= r
+        if any((k >= r) != odd for k in v):
             raise MixedParityError("vector has both even and odd components")
-        parts[odd].append({k - r: x for k, x in v} if odd else dict(v))
-    return GradedSubspace(rref(sparse_matrix(parts[0], r)), rref(sparse_matrix(parts[1], alg.sdim.odd)))
+        rows.append(v)
+    return GradedSubspace(rref(sparse_matrix(rows, alg.n)), r)
 
 
 def graded_span(alg: LieSuperalgebra, vectors: Iterable[Sequence[Scalar]]) -> GradedSubspace:
@@ -311,32 +325,19 @@ def graded_span(alg: LieSuperalgebra, vectors: Iterable[Sequence[Scalar]]) -> Gr
 
 
 def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    return GradedSubspace(sum_spaces(a.even, b.even), sum_spaces(a.odd, b.odd))
+    return GradedSubspace(sum_spaces(a.basis, b.basis), a.even_width)
 
 
 def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    return GradedSubspace(intersect_spaces(a.even, b.even), intersect_spaces(a.odd, b.odd))
+    return GradedSubspace(intersect_spaces(a.basis, b.basis), a.even_width)
 
 
 def subspace_contains(alg: LieSuperalgebra, space: GradedSubspace, v: Sequence[Scalar]) -> bool:
     if len(v) != alg.n:
         raise ValueError("coordinate vectors must have full length")
-    return not reduce_mod(nonzeros([frac(x) for x in v]), full_basis(alg, space))
+    return not reduce_mod(nonzeros([frac(x) for x in v]), space.basis)
 
 
 def subspace_leq(a: GradedSubspace, b: GradedSubspace) -> bool:
-    """Whether a is contained in b, partwise."""
-    pairs = ((a.even, b.even), (a.odd, b.odd))
-    return all(not reduce_mod(row, big) for small, big in pairs for row in small.matrix.support)
-
-
-def full_basis(alg: LieSuperalgebra, space: GradedSubspace) -> EchelonBasis:
-    """The subspace as one echelon basis of width n: the even rows, then the
-    odd rows shifted past the even coordinates.  The two parts share no
-    column, so the stacked rows are already in reduced echelon form."""
-    r = alg.sdim.even
-    odd = tuple(tuple((r + j, x) for j, x in row) for row in space.odd.matrix.support)
-    return EchelonBasis(
-        Matrix(space.sdim.total, alg.n, space.even.matrix.support + odd),
-        space.even.pivot_cols + tuple(r + p for p in space.odd.pivot_cols))
-
+    """Whether a is contained in b."""
+    return all(not reduce_mod(row, b.basis) for row in a.basis.matrix.support)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LieSuperalgebra, SuperDim, full_basis
+from .core import LieSuperalgebra, SuperDim
 from .invariants import (
     InvariantReport,
     _nilpotent_report,
@@ -197,9 +197,9 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
     cut from ID by the images of a basis of the centre.
     """
     n = alg.n
-    derived = full_basis(alg, derived_subalgebra(alg))
+    derived = derived_subalgebra(alg).basis
     # the centre's basis z_0, z_1, ... as {j: z_t[j]} over its nonzeros
-    cent = [dict(z) for z in full_basis(alg, center(alg)).matrix.support]
+    cent = [dict(z) for z in center(alg).basis.matrix.support]
 
     def residues(d: tuple[tuple[int, Scalar], ...]) -> dict[int, Scalar]:
         """The residues of D(b_0), D(b_1), ... modulo [L, L] laid end to end."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from .build import StructureConflictError, algebra_from_relations
-from .core import LieSuperalgebra, ValidationReport, validate
+from .core import MAX_BASIS, LieSuperalgebra, ValidationReport, validate
 from .linalg import Scalar, frac
 
 
@@ -76,10 +76,6 @@ class AlgebraFile:
     odd_names: tuple[str, ...]
     relations: tuple[tuple[str, str, tuple[tuple[Scalar, str], ...], int], ...]
 
-
-# The most basis names a file may declare.  The algebra is built with a dense
-# n x n x n structure tensor, so larger files are refused before it exists.
-MAX_BASIS = 128
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEADER_RE = re.compile(r'^algebra\s+"([^"]*)"\s*$')
@@ -172,6 +168,7 @@ def parse_file(text: str) -> AlgebraFile:
             if nm in declared:
                 raise FormatSyntaxError(f"basis name {nm!r} declared twice", lineno, 1)
             declared.append(nm)
+            # from_brackets would refuse it too, but without the line
             if len(declared) > MAX_BASIS:
                 raise AlgebraFormatError(f"more than {MAX_BASIS} basis names", lineno)
         parts.append(tuple(names))

@@ -11,7 +11,6 @@ from .core import (
     LieSuperalgebra,
     SuperDim,
     from_brackets,
-    full_basis,
     sparse_bracket,
     sparse_span,
     subspace_intersect,
@@ -46,29 +45,25 @@ def derived_subalgebra(alg: LieSuperalgebra) -> GradedSubspace:
     return sparse_span(alg, (alg.basis_bracket(i, j) for i in range(alg.n) for j in range(i, alg.n)))
 
 
-def _central_step_part(alg: LieSuperalgebra, z: GradedSubspace, parity: int) -> EchelonBasis:
-    # rows of the constraint matrix: one per (j, k) with some residue of
-    # [b_i, b_j] modulo z nonzero in coordinate k
-    r = alg.sdim.even
-    offset, width = (0, r) if parity == 0 else (r, alg.sdim.odd)
+def _central_step(alg: LieSuperalgebra, z: GradedSubspace) -> GradedSubspace:
+    """{x : [x, L] in z}; Z_{i+1} for z = Z_i.
+
+    One kernel over the n coordinates of x, with one constraint row per
+    (j, k) whose column i holds coordinate k of the residue of [b_i, b_j]
+    modulo z.  Only basis vectors b_i of one parity reach a given (j, k),
+    so the system splits by parity and its kernel basis is homogeneous.
+    """
     rows = []
     for j in range(alg.n):
-        target, t_offset = (z.even, 0) if (parity + alg.parity(j)) % 2 == 0 else (z.odd, r)
         per_k: dict[int, dict] = {}
-        for col in range(width):
-            support = alg.basis_bracket(offset + col, j)
+        for i in range(alg.n):
+            support = alg.basis_bracket(i, j)
             if not support:
                 continue
-            residue = reduce_mod(((k - t_offset, c) for k, c in support), target)
-            for k, c in residue.items():
-                per_k.setdefault(k, {})[col] = c
+            for k, c in reduce_mod(support, z.basis).items():
+                per_k.setdefault(k, {})[i] = c
         rows.extend(per_k.values())
-    return kernel_basis(sparse_matrix(rows, width))
-
-
-def _central_step(alg: LieSuperalgebra, z: GradedSubspace) -> GradedSubspace:
-    """{x : [x, L] in z}, one parity at a time; Z_{i+1} for z = Z_i."""
-    return GradedSubspace(_central_step_part(alg, z, 0), _central_step_part(alg, z, 1))
+    return GradedSubspace(kernel_basis(sparse_matrix(rows, alg.n)), z.even_width)
 
 
 def center(alg: LieSuperalgebra) -> GradedSubspace:
@@ -219,25 +214,27 @@ def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]
     A is a graded complement of [L,L] n Z(L) inside Z(L); T is spanned by
     [L,L] together with standard basis vectors chosen away from A.  The
     centre of the rebuilt T is verified to be [L,L] n Z(L) before returning.
+    Both choices are one pass over full-width homogeneous rows: whether an
+    even row lies in a graded span never depends on its odd rows, so one
+    pass picks what a pass per parity would.
     """
     derived = derived_subalgebra(alg)
     cent = center(alg)
     core_part = subspace_intersect(derived, cent)
 
-    a_even = _extend(core_part.even, cent.even.matrix.support)
-    a_odd = _extend(core_part.odd, cent.odd.matrix.support)
-
-    r, s = alg.sdim.even, alg.sdim.odd
-    d_even, d_odd = derived.even.matrix.support, derived.odd.matrix.support
-    t_extra_even = _extend(_span(d_even + tuple(a_even), r), (((i, ONE),) for i in range(r)))
-    t_extra_odd = _extend(_span(d_odd + tuple(a_odd), s), (((i, ONE),) for i in range(s)))
-
-    t_space = GradedSubspace(_span(d_even + tuple(t_extra_even), r), _span(d_odd + tuple(t_extra_odd), s))
-    pad = SuperDim(len(a_even), len(a_odd))
+    n, r = alg.n, alg.sdim.even
+    a_rows = _extend(core_part.basis, cent.basis.matrix.support)
+    d_rows = derived.basis.matrix.support
+    t_extra = _extend(_span(d_rows + tuple(a_rows), n), (((i, ONE),) for i in range(n)))
+    t_space = GradedSubspace(_span(d_rows + tuple(t_extra), n), r)
+    # each row of A is a homogeneous row of Z(L)'s basis: its pivot's side
+    # of r is its parity
+    a_even = sum(row[0][0] < r for row in a_rows)
+    pad = SuperDim(a_even, len(a_rows) - a_even)
     if t_space.sdim + pad != alg.sdim:
         raise StemDecompositionError("parts do not fill the algebra")
 
-    basis = full_basis(alg, t_space)
+    basis = t_space.basis
     rows = basis.matrix.support
     brackets = {}
     for a, va in enumerate(rows):
@@ -258,7 +255,7 @@ def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]
 
     # centre of T must coincide with [L,L] n Z(L), mapped back into L
     zt = center(t_alg)
-    zt_in_l = mat_mul(full_basis(t_alg, zt).matrix, basis.matrix)
+    zt_in_l = mat_mul(zt.basis.matrix, basis.matrix)
     if sparse_span(alg, zt_in_l.support) != core_part:
         raise StemDecompositionError("centre of the stem part is off")
     return t_alg, pad

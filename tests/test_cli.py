@@ -52,6 +52,14 @@ def test_oversized_basis_is_user_error(tmp_path, capsys):
     assert "more than 128 basis names (line 2)" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_user_error(tmp_path, capsys):
+    path = tmp_path / "latin.alg"
+    path.write_bytes(b'algebra "x"\neven: e1\nodd:\n# \xff\n')
+    assert main(["invariants", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_main_reuses_one_parser(monkeypatch, good_file, capsys):
     def refuse():
         raise AssertionError("parser built per call")
@@ -222,3 +230,18 @@ def test_make_prints_without_out(capsys):
 def test_make_rejects_bad_parameters(capsys):
     assert main(["make", "tower", "0"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_make_refuses_an_algebra_no_file_can_hold(tmp_path, capsys):
+    # tower(t) has t + 3 basis vectors, and a file holds at most 128
+    big, fits = tmp_path / "big.alg", tmp_path / "fits.alg"
+    assert main(["make", "tower", "126", "--out", str(big)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not big.exists()
+    assert main(["make", "tower", "125", "--out", str(fits)]) == 0
+    assert main(["invariants", str(fits)]) == 0
+
+
+def test_classify_refuses_an_algebra_too_large_to_build(capsys):
+    assert main(["classify", "--st", "0,0", "--sdim", "129,0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

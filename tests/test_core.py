@@ -5,8 +5,10 @@ from hypothesis import strategies as strat
 from superstem.build import algebra_from_relations, heisenberg_even
 from superstem.catalog import get
 from superstem.core import (
+    MAX_BASIS,
     MixedParityError,
     SuperDim,
+    from_brackets,
     graded_span,
     subspace_contains,
     validate,
@@ -24,6 +26,13 @@ def test_superdim_arithmetic():
     assert a.total == 4
     assert str(a) == "(3|1)"
     assert tuple(a) == (3, 1)
+
+
+def test_from_brackets_refuses_more_than_max_basis():
+    names = tuple(f"e{i}" for i in range(MAX_BASIS + 1))
+    assert from_brackets("fits", names[:-1], (), {}).n == MAX_BASIS
+    with pytest.raises(ValueError, match="129 basis vectors"):
+        from_brackets("big", names[:-1], names[-1:], {})
 
 
 def test_basis_vector_uses_shared_scalars():

@@ -4,12 +4,13 @@
 `algebra_from_relations`, `direct_sum`, `quotient` and `stem_decomposition`
 hand it sparse brackets.  [L, L], the ideal check and projection of
 `quotient`, and the bracket and coordinate loop of `stem_decomposition` take
-brackets from `basis_bracket` and reduce against `full_basis`.  The
-references below are the dense versions they replace: brackets of dense
-basis vectors, dense membership and dense echelon forms.  The structure
-tests keep the one-builder rule from regressing and keep `/` and
-`Fraction(` inside linalg, and the guard test checks that the library paths
-never build a dense bracket.
+brackets from `basis_bracket` and reduce against the subspace's full-width
+echelon basis.  The references below are the dense versions they replace:
+brackets of dense basis vectors, dense membership and dense echelon forms,
+one parity at a time; `parity_parts` and `graded` convert between that form
+and a `GradedSubspace`.  The structure tests keep the one-builder rule from
+regressing and keep `/` and `Fraction(` inside linalg, and the guard test
+checks that the library paths never build a dense bracket.
 """
 
 import ast
@@ -28,13 +29,12 @@ from superstem.build import (
 )
 from superstem.catalog import entries
 from superstem.core import (
-    GradedSubspace,
     LieSuperalgebra,
     MixedParityError,
     SuperDim,
     from_brackets,
-    full_basis,
     subspace_intersect,
+    subspace_sum,
     validate,
     vector_parity,
     zero_subspace,
@@ -49,7 +49,7 @@ from superstem.invariants import (
     upper_central_series,
 )
 from superstem.linalg import frac, mat_mul, matrix, rref, sum_spaces
-from test_single_pass import acceptance_corpus
+from test_single_pass import acceptance_corpus, graded, non_stem_examples, parity_parts, rescaled, sheared
 
 # catalog entries plus abelian summands, so that stem parts have a complement
 CORPUS = acceptance_corpus() + [
@@ -84,7 +84,7 @@ def dense_span(alg, vectors):
         par = vector_parity(alg, v)
         if par is not None:
             parts[par].append(v[r:] if par else v[:r])
-    return GradedSubspace(echelon(parts[0], r), echelon(parts[1], s))
+    return graded(echelon(parts[0], r), echelon(parts[1], s))
 
 
 def dense_derived(alg):
@@ -98,19 +98,21 @@ def dense_derived(alg):
 
 def dense_is_ideal(alg, space):
     r = alg.sdim.even
-    for row in full_basis(alg, space).rows():
+    even, odd = parity_parts(space)
+    for row in space.basis.rows():
         for i in range(alg.n):
             w = alg.bracket(alg.basis_vector(i), row)
-            if not (membership(w[:r], space.even)[0] and membership(w[r:], space.odd)[0]):
+            if not (membership(w[:r], even)[0] and membership(w[r:], odd)[0]):
                 return False
     return True
 
 
 def dense_quotient(alg, ideal):
     r, s = alg.sdim.even, alg.sdim.odd
-    even_kept = tuple(i for i in range(r) if i not in ideal.even.pivot_cols)
-    odd_kept = tuple(i for i in range(s) if i not in ideal.odd.pivot_cols)
-    qmap = QuotientMap(ideal, r, s, even_kept, odd_kept)
+    even, odd = parity_parts(ideal)
+    even_kept = tuple(i for i in range(r) if i not in even.pivot_cols)
+    odd_kept = tuple(i for i in range(s) if i not in odd.pivot_cols)
+    qmap = QuotientMap(ideal, even_kept + tuple(r + i for i in odd_kept))
     reps = [alg.basis_vector(i) for i in even_kept] + [alg.basis_vector(r + i) for i in odd_kept]
     tensor = tuple(
         tuple(qmap.project(alg.bracket(x, y)) for y in reps)
@@ -133,26 +135,27 @@ def dense_stem_decomposition(alg):
     derived = dense_derived(alg)
     cent = center(alg)
     core_part = subspace_intersect(derived, cent)
-    a_even = _extend(core_part.even, cent.even.rows())
-    a_odd = _extend(core_part.odd, cent.odd.rows())
+    (core_even, core_odd), (cent_even, cent_odd) = parity_parts(core_part), parity_parts(cent)
+    a_even = _extend(core_even, cent_even.rows())
+    a_odd = _extend(core_odd, cent_odd.rows())
 
     r, s = alg.sdim.even, alg.sdim.odd
-    avoid_even = echelon(list(derived.even.rows()) + a_even, r)
-    avoid_odd = echelon(list(derived.odd.rows()) + a_odd, s)
+    der_even, der_odd = parity_parts(derived)
+    avoid_even = echelon(list(der_even.rows()) + a_even, r)
+    avoid_odd = echelon(list(der_odd.rows()) + a_odd, s)
     t_extra_even = _extend(avoid_even, (unit_vector(r, i) for i in range(r)))
     t_extra_odd = _extend(avoid_odd, (unit_vector(s, i) for i in range(s)))
-    t_space = GradedSubspace(
-        echelon(list(derived.even.rows()) + t_extra_even, r),
-        echelon(list(derived.odd.rows()) + t_extra_odd, s),
-    )
-    basis = full_basis(alg, t_space).rows()
+    t_even = echelon(list(der_even.rows()) + t_extra_even, r)
+    t_odd = echelon(list(der_odd.rows()) + t_extra_odd, s)
+    t_space = graded(t_even, t_odd)
+    basis = t_space.basis.rows()
     tensor = []
     for va in basis:
         row = []
         for vb in basis:
             w = alg.bracket(va, vb)
-            ok_e, ce = membership(w[:r], t_space.even)
-            ok_o, co = membership(w[r:], t_space.odd)
+            ok_e, ce = membership(w[:r], t_even)
+            ok_o, co = membership(w[r:], t_odd)
             assert ok_e and ok_o
             row.append(tuple(ce) + tuple(co))
         tensor.append(tuple(row))
@@ -163,7 +166,7 @@ def dense_stem_decomposition(alg):
         tuple(f"u{i + 1}" for i in range(q)),
         tuple(tensor),
     )
-    zt = full_basis(t_alg, center(t_alg)).matrix
+    zt = center(t_alg).basis.matrix
     assert dense_span(alg, mat_mul(zt, matrix(basis, cols=alg.n)).entries) == core_part
     return t_alg, SuperDim(len(a_even), len(a_odd))
 
@@ -270,3 +273,25 @@ def test_only_linalg_divides_or_builds_fractions():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 offences.append(f"{path.name}:{node.lineno} calls Fraction(")
     assert offences == []
+
+
+def homogeneous_form_corpus():
+    """CORPUS with the rescaled and sheared copies of the non-stem examples
+    and the catalog, whose subspaces are spanned by non-unit vectors."""
+    bases = [e.algebra for e in entries()] + non_stem_examples()
+    return CORPUS + [rescaled(a) for a in bases] + [sheared(a) for a in bases]
+
+
+@pytest.mark.parametrize("alg", homogeneous_form_corpus(), ids=lambda a: a.name)
+def test_subspace_rows_are_homogeneous(alg):
+    """The one-basis form relies on every row of a graded subspace lying on
+    one side of r, so that sdim can be read from the pivots."""
+    r = alg.sdim.even
+    derived, cent = derived_subalgebra(alg), center(alg)
+    spaces = [derived, subspace_intersect(derived, cent), subspace_sum(derived, cent)]
+    spaces += upper_central_series(alg)
+    for space in spaces:
+        assert space.even_width == r and space.basis.width == alg.n
+        for row in space.basis.matrix.support:
+            assert len({j < r for j, _ in row}) == 1
+        assert space.sdim == SuperDim(*(part.dim for part in parity_parts(space)))
