@@ -1,21 +1,31 @@
 #!/usr/bin/env python3
 """Run every verification pass over the catalog and the standard families.
 
-Sections: stored-table reproduction, classification cross-check, the two
-size bounds, the derived-size ladder, and the closure of Der(L) under the
-graded commutator.  Exits nonzero if any check fails, so the script doubles
-as a one-shot regression gate.
+Sections: stored-table reproduction, classification cross-check, the
+bracket laws, the two size bounds, the derived-size ladder, the stem
+decomposition round trip (L = T + A with T stem, rebuilt with the same
+invariants), and the closure of Der(L) under the graded commutator.  Exits
+nonzero if any check fails, so the script doubles as a one-shot regression
+gate.
 """
 
 import argparse
 import sys
 import time
+from dataclasses import replace
 
-from superstem.build import direct_sum, heisenberg_even, heisenberg_odd, tower
+from superstem.build import abelian, direct_sum, heisenberg_even, heisenberg_odd, tower
 from superstem.catalog import entries, get, verify_classification, verify_table1
 from superstem.core import validate
 from superstem.derivations import der_bracket, derivation_space, idstar_bound_check
-from superstem.invariants import proposition_audit, schur_bound_check
+from superstem.invariants import (
+    StemDecompositionError,
+    invariant_report,
+    is_stem,
+    proposition_audit,
+    schur_bound_check,
+    stem_decomposition,
+)
 
 
 def family_corpus(max_heisenberg: int, max_tower: int):
@@ -92,6 +102,29 @@ def main(argv=None) -> int:
     broken = [a.name for a in map(proposition_audit, corpus) if not a.ok]
     print(f"{len(corpus)} algebras audited, {len(broken)} violations{took(t0)}")
     failures += len(broken)
+
+    t0 = section("stem decomposition round trip")
+    misses = 0
+    for alg in corpus:
+        try:
+            stem, pad = stem_decomposition(alg)
+        except StemDecompositionError as exc:
+            print(f"  MISMATCH {alg.name}: {exc}")
+            misses += 1
+            continue
+        rebuilt = invariant_report(direct_sum(stem, abelian(pad.even, pad.odd)))
+        problems = [
+            what for what, ok in (
+                ("stem part is not stem", is_stem(stem)),
+                ("graded dimensions do not add up", stem.sdim + pad == alg.sdim),
+                ("T + A has other invariants", replace(rebuilt, name=alg.name) == invariant_report(alg)),
+            ) if not ok
+        ]
+        for what in problems:
+            print(f"  MISMATCH {alg.name}: {what}")
+        misses += len(problems)
+    print(f"{len(corpus)} algebras split and rebuilt, {misses} mismatches{took(t0)}")
+    failures += misses
 
     t0 = section("derivation bracket closure")
     pairs = misses = 0

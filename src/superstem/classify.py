@@ -81,7 +81,7 @@ def _padded(head: LieSuperalgebra, desc: str, pad: SuperDim) -> tuple[str, LieSu
     return f"{desc} + A({pad.even}|{pad.odd})", direct_sum(head, abelian(pad.even, pad.odd))
 
 
-def classify_by_st(value: SuperDim, sdim: SuperDim, *, verify: bool = True) -> tuple[FamilyInstance, ...]:
+def classify_by_st(value: SuperDim, sdim: SuperDim) -> tuple[FamilyInstance, ...]:
     """All algebras of graded dimension sdim with the given st, up to
     isomorphism, each rebuilt and recomputed before being returned.
 
@@ -113,12 +113,11 @@ def classify_by_st(value: SuperDim, sdim: SuperDim, *, verify: bool = True) -> t
                 desc, alg = _padded(head, nm, sdim - head.sdim)
                 found.append(FamilyInstance(desc, alg, value))
 
-    if verify:
-        for inst in found:
-            if inst.algebra.sdim != sdim:
-                raise RuntimeError(f"{inst.description}: wrong graded dimension")
-            got = st(inst.algebra)
-            if got != value:
-                raise RuntimeError(
-                    f"{inst.description}: recomputed st={got}, expected {value}")
+    for inst in found:
+        if inst.algebra.sdim != sdim:
+            raise RuntimeError(f"{inst.description}: wrong graded dimension")
+        got = st(inst.algebra)
+        if got != value:
+            raise RuntimeError(
+                f"{inst.description}: recomputed st={got}, expected {value}")
     return tuple(found)

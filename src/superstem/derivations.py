@@ -34,7 +34,6 @@ from .linalg import (
     Scalar,
     frac,
     kernel_basis,
-    matrix,
     mat_mul,
     reduce_mod,
     rref,
@@ -51,14 +50,6 @@ class GradedLinearMap:
         if len(v) != self.matrix.cols:
             raise ValueError("vector length does not match column count")
         return tuple(frac(sum([x * v[j] for j, x in row if v[j]], ZERO)) for row in self.matrix.support)
-
-
-def flatten_map(m: GradedLinearMap) -> tuple[Scalar, ...]:
-    return tuple(x for row in m.matrix.entries for x in row)
-
-
-def unflatten_map(row: Sequence[Scalar], n: int, parity: int) -> GradedLinearMap:
-    return GradedLinearMap(parity, matrix([row[i * n:(i + 1) * n] for i in range(n)], cols=n))
 
 
 @dataclass(frozen=True)

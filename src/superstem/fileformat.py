@@ -113,6 +113,10 @@ def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Scalar, str], 
                 coeff = frac(text)
             except ZeroDivisionError:
                 raise BadRationalError(f"{text!r} has a zero denominator", lineno, col) from None
+            except ValueError:
+                # the interpreter's limit on digits in an int's text
+                raise BadRationalError(f"coefficient of {len(text)} characters has too many digits",
+                                       lineno, col) from None
             continue
         if _NAME_RE.fullmatch(text):
             terms.append(((coeff if coeff is not None else 1) * sign, text))

@@ -18,17 +18,7 @@ from .core import (
     subspace_sum,
     zero_subspace,
 )
-from .linalg import (
-    EchelonBasis,
-    Matrix,
-    ONE,
-    kernel_basis,
-    mat_mul,
-    reduce_mod,
-    rref,
-    sparse_matrix,
-    sum_spaces,
-)
+from .linalg import ONE, extend, kernel_basis, mat_mul, reduce_mod, sparse_matrix
 
 
 class NotNilpotentError(ValueError):
@@ -192,41 +182,28 @@ def proposition_audit(alg: LieSuperalgebra) -> PropositionAuditReport:
     return PropositionAuditReport(alg.name, derived_total, t, tuple(rungs))
 
 
-def _span(rows, width: int) -> EchelonBasis:
-    rows = tuple(rows)
-    return rref(Matrix(len(rows), width, rows))
-
-
-def _extend(ech: EchelonBasis, candidates) -> list:
-    """The candidate rows, in order, that are not in the span of ech and the
-    candidates kept before them."""
-    added = []
-    for v in candidates:
-        if reduce_mod(v, ech):
-            added.append(v)
-            ech = sum_spaces(ech, _span([v], ech.width))
-    return added
-
-
 def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]:
     """Split L as T + A with A abelian and T stem; returns (T, sdim A).
 
     A is a graded complement of [L,L] n Z(L) inside Z(L); T is spanned by
     [L,L] together with standard basis vectors chosen away from A.  The
     centre of the rebuilt T is verified to be [L,L] n Z(L) before returning.
-    Both choices are one pass over full-width homogeneous rows: whether an
-    even row lies in a graded span never depends on its odd rows, so one
-    pass picks what a pass per parity would.
+    Each choice is one `extend`, which inserts every candidate once into the
+    kept echelon form: A is the rows of Z(L)'s basis that grow
+    [L,L] n Z(L), and T's extra units are those that grow [L,L] + A.  Both
+    are one pass over full-width homogeneous rows: whether an even row lies
+    in a graded span never depends on its odd rows, so one pass picks what
+    a pass per parity would.
     """
     derived = derived_subalgebra(alg)
     cent = center(alg)
     core_part = subspace_intersect(derived, cent)
 
     n, r = alg.n, alg.sdim.even
-    a_rows = _extend(core_part.basis, cent.basis.matrix.support)
-    d_rows = derived.basis.matrix.support
-    t_extra = _extend(_span(d_rows + tuple(a_rows), n), (((i, ONE),) for i in range(n)))
-    t_space = GradedSubspace(_span(d_rows + tuple(t_extra), n), r)
+    _, a_rows = extend(core_part.basis, cent.basis.matrix.support)
+    avoid, _ = extend(derived.basis, a_rows)
+    _, t_extra = extend(avoid, (((i, ONE),) for i in range(n)))
+    t_space = GradedSubspace(extend(derived.basis, t_extra)[0], r)
     # each row of A is a homogeneous row of Z(L)'s basis: its pivot's side
     # of r is its parity
     a_even = sum(row[0][0] < r for row in a_rows)

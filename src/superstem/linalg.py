@@ -16,12 +16,15 @@ can be shared freely between threads.  Spans are kept in reduced row echelon
 form, which makes equality of subspaces plain tuple equality.
 
 There is one sparse kernel: a reduction loop over rows given by the
-(column, value) pairs of their nonzero entries.  Elimination inserts the
-rows of a matrix one at a time, reducing each against the rows kept so far
-and clearing its pivot from them; `reduce_mod` reduces one vector against
-the stored rows of an echelon basis and returns the residual only (the
-coordinates of a member are its values at the pivot columns); kernels and
-intersections are eliminations of sparse rows built from an echelon form.
+(column, value) pairs of their nonzero entries.  `_insert` is the one step
+that adds a row to a reduced echelon form: it reduces the row against the
+rows kept so far and clears the new pivot from them.  Elimination inserts
+the rows of a matrix one at a time; `extend` and the sums and intersections
+of spaces start from the stored rows of an echelon basis, which are already
+reduced, and insert only the new rows; `reduce_mod` reduces one vector
+against the stored rows of an echelon basis and returns the residual only
+(the coordinates of a member are its values at the pivot columns); kernels
+are eliminations of sparse rows built from an echelon form.
 """
 
 from __future__ import annotations
@@ -115,19 +118,6 @@ def nonzeros(row: Sequence[Scalar]) -> Row:
     return tuple([(j, x) for j, x in enumerate(row) if x is not ZERO and x])
 
 
-def mat_vec(m: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    if len(v) != m.cols:
-        raise ValueError("vector length does not match column count")
-    out = []
-    for row in m.entries:
-        acc = ZERO
-        for a, b in zip(row, v):
-            if a and b:
-                acc += a * b
-        out.append(_canon(acc))
-    return tuple(out)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError("inner dimensions do not match")
@@ -158,9 +148,6 @@ class EchelonBasis:
     def width(self) -> int:
         return self.matrix.cols
 
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self.matrix.entries
-
 
 def _reduce(
     work: dict[int, Scalar], rows: Iterable[tuple[int, Iterable[tuple[int, Scalar]]]]
@@ -178,31 +165,38 @@ def _reduce(
                 work[j] = y if type(y) is int else _canon(y)
 
 
-def _eliminate(rows: Iterable[Iterable[tuple[int, Scalar]]]) -> dict[int, dict[int, Scalar]]:
-    """The reduced echelon form of a span, as {pivot: nonzeros of its row}.
+def _insert(kept: dict[int, dict[int, Scalar]], row: Iterable[tuple[int, Scalar]]) -> bool:
+    """Insert one row into a reduced echelon form {pivot: nonzeros of its row},
+    in place; whether it added a pivot.
 
-    Each row is reduced against the rows kept so far, scaled to a unit pivot
-    at its first nonzero column (only when the pivot is not already 1), and
-    its pivot is cleared from the kept rows.  Kept rows are zero in each
-    other's pivots, so the order of the reductions does not matter, and
-    each row is zero left of its pivot.
+    The row is reduced against the kept rows, scaled to a unit pivot at its
+    first nonzero column (only when the pivot is not already 1), and its
+    pivot is cleared from the kept rows.  Kept rows are zero in each other's
+    pivots, so the order of the reductions does not matter, and each row is
+    zero left of its pivot.
     """
+    work = dict(row)
+    _reduce(work, [(p, kept[p].items()) for p in work.keys() & kept.keys()])
+    work = {j: x for j, x in work.items() if x}
+    if not work:
+        return False
+    q = min(work)
+    pivot = work[q]
+    if pivot != ONE:
+        work = {j: _div(x, pivot) for j, x in work.items()}
+    for p, other in kept.items():
+        if q in other:
+            _reduce(other, ((q, work.items()),))
+            kept[p] = {j: x for j, x in other.items() if x}
+    kept[q] = work
+    return True
+
+
+def _eliminate(rows: Iterable[Iterable[tuple[int, Scalar]]]) -> dict[int, dict[int, Scalar]]:
+    """The reduced echelon form of a span, as {pivot: nonzeros of its row}."""
     kept: dict[int, dict[int, Scalar]] = {}
     for row in rows:
-        work = dict(row)
-        _reduce(work, [(p, kept[p].items()) for p in work.keys() & kept.keys()])
-        work = {j: x for j, x in work.items() if x}
-        if not work:
-            continue
-        q = min(work)
-        pivot = work[q]
-        if pivot != ONE:
-            work = {j: _div(x, pivot) for j, x in work.items()}
-        for p, other in kept.items():
-            if q in other:
-                _reduce(other, ((q, work.items()),))
-                kept[p] = {j: x for j, x in other.items() if x}
-        kept[q] = work
+        _insert(kept, row)
     return kept
 
 
@@ -234,10 +228,21 @@ def reduce_mod(v: Iterable[tuple[int, Scalar]], b: EchelonBasis) -> dict[int, Sc
     return {j: x for j, x in work.items() if x}
 
 
+def extend(basis: EchelonBasis, rows: Iterable[Row]) -> tuple[EchelonBasis, list[Row]]:
+    """The span of basis and rows, with the rows, in order, that added a pivot.
+
+    The stored rows of basis are already a reduced echelon form, so only
+    the new rows are inserted.
+    """
+    kept = {p: dict(row) for p, row in zip(basis.pivot_cols, basis.matrix.support)}
+    added = [row for row in rows if _insert(kept, row)]
+    return _basis(kept, basis.width), added
+
+
 def sum_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
     if a.width != b.width:
         raise ValueError("ambient widths differ")
-    return _basis(_eliminate(a.matrix.support + b.matrix.support), a.width)
+    return extend(a, b.matrix.support)[0]
 
 
 def kernel_basis(m: Matrix) -> EchelonBasis:
@@ -257,13 +262,15 @@ def kernel_basis(m: Matrix) -> EchelonBasis:
 def intersect_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
     """Intersection by one elimination of [a | a] stacked over [b | 0].
 
-    The rows of the result whose left half is zero are the (0, x . rows(a))
-    with x . rows(a) = -y . rows(b), so their right halves are an echelon
-    basis of the intersection.
+    The rows [a | a] are already reduced, with a's pivots, so only b's rows
+    are inserted.  The rows of the result whose left half is zero are the
+    (0, x . rows(a)) with x . rows(a) = -y . rows(b), so their right halves
+    are an echelon basis of the intersection.
     """
     if a.width != b.width:
         raise ValueError("ambient widths differ")
     w = a.width
-    stacked = [row + tuple((j + w, x) for j, x in row) for row in a.matrix.support]
-    kept = _eliminate(stacked + list(b.matrix.support))
+    kept = {p: dict(row + tuple((j + w, x) for j, x in row)) for p, row in zip(a.pivot_cols, a.matrix.support)}
+    for row in b.matrix.support:
+        _insert(kept, row)
     return _basis({p - w: {j - w: x for j, x in row.items()} for p, row in kept.items() if p >= w}, w)

@@ -131,12 +131,12 @@ def test_05_classification_queries(acceptance_recorder):
             if k + l <= 7
         ]
         for sdim in sdims:
-            assert classify_by_st(SuperDim(0, 1), sdim, verify=False) == ()
+            assert classify_by_st(SuperDim(0, 1), sdim) == ()
 
         for value in (SuperDim(0, 0), SuperDim(1, 0), SuperDim(2, 0),
                       SuperDim(0, 2), SuperDim(1, 1)):
             for sdim in sdims:
-                for inst in classify_by_st(value, sdim, verify=False):
+                for inst in classify_by_st(value, sdim):
                     assert inst.algebra.sdim == sdim, inst.description
                     assert st(inst.algebra) == value, inst.description
 

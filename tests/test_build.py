@@ -41,7 +41,7 @@ def test_heisenberg_even_center_is_the_z_line():
     c = center(alg)
     assert c.sdim == SuperDim(1, 0)
     # oracle: a center row really brackets to zero with every basis vector
-    (v,) = c.basis.rows()
+    (v,) = c.basis.matrix.entries
     for i in range(alg.n):
         assert alg.bracket(v, alg.basis_vector(i)) == alg.zero()
     assert v == alg.basis_vector(4)

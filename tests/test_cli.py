@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -58,6 +59,21 @@ def test_non_utf8_file_is_user_error(tmp_path, capsys):
     assert main(["invariants", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ("numerator", "denominator"))
+def test_coefficient_past_the_digit_limit_is_user_error(tmp_path, capsys, form):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int string conversion has no digit limit")
+    digits = ("9" if form == "numerator" else "7") * (limit + 1)
+    coefficient = digits if form == "numerator" else f"1/{digits}"
+    path = tmp_path / "long.alg"
+    path.write_text(f'algebra "x"\neven: x1 x2 z\nodd:\n[x1, x2] = {coefficient} z\n', encoding="utf-8")
+    assert main(["derivations", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "line 4" in err and digits[:100] not in err
 
 
 def test_main_reuses_one_parser(monkeypatch, good_file, capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,18 @@ def test_roundtrip_on_families():
         again = parse(export(alg))
         assert again.tensor == alg.tensor
         assert again.basis_names == alg.basis_names
+
+
+@pytest.mark.parametrize("form", ("numerator", "denominator"))
+def test_roundtrip_at_the_digit_limit(form):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int string conversion has no digit limit")
+    digits = ("9" if form == "numerator" else "7") * limit
+    coefficient = digits if form == "numerator" else f"1/{digits}"
+    alg = parse(f'algebra "x"\neven: x1 x2 z\nodd:\n[x1, x2] = {coefficient} z\n')
+    assert alg.basis_bracket(0, 1) == ((2, frac(coefficient)),)
+    assert parse(export(alg)) == alg
 
 
 def test_roundtrip_negative_later_terms():

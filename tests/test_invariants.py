@@ -35,7 +35,7 @@ def test_center_of_catalog_entry():
     alg = get("(2|2)_6").algebra
     c = center(alg)
     assert c.sdim == SuperDim(1, 1)
-    assert c.basis.rows() == ((1, 0, 0, 0), (0, 0, 1, 0))
+    assert c.basis.matrix.entries == ((1, 0, 0, 0), (0, 0, 1, 0))
     # definition check: the rows really annihilate every basis vector
     for v in (alg.basis_vector(0), alg.basis_vector(2)):
         for i in range(alg.n):
@@ -55,7 +55,7 @@ def test_derived_subalgebra_values():
     alg = get("(3|2)_13").algebra
     d = derived_subalgebra(alg)
     assert d.sdim == SuperDim(2, 1)
-    assert d.basis.rows() == (
+    assert d.basis.matrix.entries == (
         (0, 1, 0, 0, 0),
         (0, 0, 1, 0, 0),
         (0, 0, 0, 1, 0),

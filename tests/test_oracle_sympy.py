@@ -37,25 +37,25 @@ def check_rref(m):
     ref, pivots = domain(m.entries, m.cols).rref()
     e = rref(m)
     assert e.pivot_cols == pivots
-    assert e.rows() == fractions(ref, len(pivots))
+    assert e.matrix.entries == fractions(ref, len(pivots))
 
 
 def check_kernel(m):
     ref, pivots = domain(m.entries, m.cols).nullspace().rref()
     k = kernel_basis(m)
     assert k.pivot_cols == pivots
-    assert k.rows() == fractions(ref, len(pivots))
+    assert k.matrix.entries == fractions(ref, len(pivots))
 
 
 def check_intersection(a, b):
     w = a.width
     meet = intersect_spaces(a, b)
     assert meet.width == w
-    assert meet.dim == a.dim + b.dim - domain(a.rows() + b.rows(), w).rank()
-    assert domain(meet.rows(), w).rank() == meet.dim
-    for row in meet.rows():
+    assert meet.dim == a.dim + b.dim - domain(a.matrix.entries + b.matrix.entries, w).rank()
+    assert domain(meet.matrix.entries, w).rank() == meet.dim
+    for row in meet.matrix.entries:
         for space in (a, b):
-            assert domain(space.rows() + (row,), w).rank() == space.dim
+            assert domain(space.matrix.entries + (row,), w).rank() == space.dim
 
 
 rationals = strat.one_of(

@@ -111,7 +111,7 @@ def quotient_series(alg):
     z_prev = zero_subspace(alg)
     while True:
         q, qmap = quotient(alg, z_prev)
-        lifted = [qmap.lift(row) for row in center(q).basis.rows()]
+        lifted = [qmap.lift(row) for row in center(q).basis.matrix.entries]
         z_next = subspace_sum(z_prev, graded_span(alg, lifted))
         if z_next.sdim == z_prev.sdim:
             break
@@ -221,7 +221,7 @@ def stacked_id_star(alg):
     (D vanishes on Z(L)) stacked into one n^2-wide system per parity."""
     n, r = alg.n, alg.sdim.even
     derived = parity_parts(derived_subalgebra(alg))
-    cent_rows = center(alg).basis.rows()
+    cent_rows = center(alg).basis.matrix.entries
 
     def image_rows(parity, pos_index):
         rows = []
@@ -233,7 +233,7 @@ def stacked_id_star(alg):
                     continue
                 row = [0] * len(pos_index)
                 row[pos_index[offset + u, j]] = 1
-                for basis_row, p in zip(part.rows(), part.pivot_cols):
+                for basis_row, p in zip(part.matrix.entries, part.pivot_cols):
                     row[pos_index[offset + p, j]] -= basis_row[u]
                 rows.append(row)
         return rows
@@ -333,7 +333,7 @@ def sheared(alg):
 def test_id_star_on_sheared_basis(alg):
     copy = sheared(alg)
     assert validate(copy).ok
-    assert any(sum(map(bool, z)) > 1 for z in center(copy).basis.rows())
+    assert any(sum(map(bool, z)) > 1 for z in center(copy).basis.matrix.entries)
     id_space, idstar_space = id_star(copy)
     assert (id_space, idstar_space) == stacked_id_star(copy)
     assert (id_space.sdim, idstar_space.sdim) == tuple(s.sdim for s in id_star(alg))

@@ -2,9 +2,9 @@
 
 `GradedLinearMap.apply`, `der_bracket`, `DerivationSpace.contains`,
 `DerivationSpace.leq` and `reduce_mod` work on the nonzero (column, value)
-pairs of maps and echelon rows.  The references are the dense versions:
-`mat_vec` for apply, and test-local copies of two full matrix products and
-an entrywise combine for the bracket, and of a reduction of the n^2-wide
+pairs of maps and echelon rows.  The references are the dense versions,
+all test-local: `mat_vec` for apply, two full matrix products and an
+entrywise combine for the bracket, and a reduction of the n^2-wide
 flattening over every column for membership.
 `matrix()` drops zeros by identity with the shared ZERO first and then by
 value, so the robustness tests feed it dense rows whose zeros are other
@@ -29,7 +29,6 @@ from superstem.derivations import (
     der_bracket,
     derivation_report,
     derivation_space,
-    flatten_map,
     id_star,
     inner_derivations,
 )
@@ -43,7 +42,6 @@ from superstem.linalg import (
     intersect_spaces,
     kernel_basis,
     mat_mul,
-    mat_vec,
     matrix,
     nonzeros,
     reduce_mod,
@@ -51,7 +49,13 @@ from superstem.linalg import (
     sum_spaces,
 )
 
+from test_linalg import mat_vec
 from test_single_pass import acceptance_corpus, rescaled
+
+
+def flatten_map(m):
+    """The row-major flattening of a map's dense n x n matrix."""
+    return tuple(x for row in m.matrix.entries for x in row)
 
 
 def dense_bracket(d, e):
@@ -69,7 +73,7 @@ def dense_reduce(v, b):
     """reduce_mod as a loop over every column right of each pivot."""
     work = [frac(x) for x in v]
     coords = []
-    for row, p in zip(b.rows(), b.pivot_cols):
+    for row, p in zip(b.matrix.entries, b.pivot_cols):
         c = work[p]
         coords.append(c)
         if c:
@@ -88,7 +92,7 @@ def dense_leq(a, b):
     return all(
         not any(dense_reduce(row, b.part(par))[0])
         for par in (0, 1)
-        for row in a.part(par).rows()
+        for row in a.part(par).matrix.entries
     )
 
 
@@ -213,7 +217,7 @@ def test_raw_matrix_adjoint_maps():
 def test_fresh_zeros_in_vectors_and_bases():
     basis = rref(matrix([[1, 0, 2, 0, 1], [0, 1, -1, 0, 3], [0, 0, 0, 1, Fraction(1, 2)]]))
     fresh_basis = EchelonBasis(
-        matrix(tuple(tuple(Fraction(x) for x in row) for row in basis.rows()), cols=basis.width),
+        matrix(tuple(tuple(Fraction(x) for x in row) for row in basis.matrix.entries), cols=basis.width),
         basis.pivot_cols,
     )
     assert fresh_basis.matrix.support == basis.matrix.support
@@ -239,7 +243,7 @@ def bases_and_vectors(draw):
     if basis.dim and draw(strat.booleans()):
         # a member of the span, plus perhaps one unit of noise
         coeffs = draw(strat.lists(rationals, min_size=basis.dim, max_size=basis.dim))
-        v = [sum((c * row[j] for c, row in zip(coeffs, basis.rows())), Fraction(0)) for j in range(width)]
+        v = [sum((c * row[j] for c, row in zip(coeffs, basis.matrix.entries)), Fraction(0)) for j in range(width)]
         if draw(strat.booleans()):
             v[draw(strat.integers(0, width - 1))] += 1
     else:

@@ -62,7 +62,7 @@ def membership(v, b):
     dense v the multiple of each row of b that clears the row's pivot."""
     work = [frac(x) for x in v]
     coords = []
-    for row, p in zip(b.rows(), b.pivot_cols):
+    for row, p in zip(b.matrix.entries, b.pivot_cols):
         c = work[p]
         coords.append(c)
         work = [w - c * x for w, x in zip(work, row)]
@@ -99,7 +99,7 @@ def dense_derived(alg):
 def dense_is_ideal(alg, space):
     r = alg.sdim.even
     even, odd = parity_parts(space)
-    for row in space.basis.rows():
+    for row in space.basis.matrix.entries:
         for i in range(alg.n):
             w = alg.bracket(alg.basis_vector(i), row)
             if not (membership(w[:r], even)[0] and membership(w[r:], odd)[0]):
@@ -136,19 +136,19 @@ def dense_stem_decomposition(alg):
     cent = center(alg)
     core_part = subspace_intersect(derived, cent)
     (core_even, core_odd), (cent_even, cent_odd) = parity_parts(core_part), parity_parts(cent)
-    a_even = _extend(core_even, cent_even.rows())
-    a_odd = _extend(core_odd, cent_odd.rows())
+    a_even = _extend(core_even, cent_even.matrix.entries)
+    a_odd = _extend(core_odd, cent_odd.matrix.entries)
 
     r, s = alg.sdim.even, alg.sdim.odd
     der_even, der_odd = parity_parts(derived)
-    avoid_even = echelon(list(der_even.rows()) + a_even, r)
-    avoid_odd = echelon(list(der_odd.rows()) + a_odd, s)
+    avoid_even = echelon(list(der_even.matrix.entries) + a_even, r)
+    avoid_odd = echelon(list(der_odd.matrix.entries) + a_odd, s)
     t_extra_even = _extend(avoid_even, (unit_vector(r, i) for i in range(r)))
     t_extra_odd = _extend(avoid_odd, (unit_vector(s, i) for i in range(s)))
-    t_even = echelon(list(der_even.rows()) + t_extra_even, r)
-    t_odd = echelon(list(der_odd.rows()) + t_extra_odd, s)
+    t_even = echelon(list(der_even.matrix.entries) + t_extra_even, r)
+    t_odd = echelon(list(der_odd.matrix.entries) + t_extra_odd, s)
     t_space = graded(t_even, t_odd)
-    basis = t_space.basis.rows()
+    basis = t_space.basis.matrix.entries
     tensor = []
     for va in basis:
         row = []
