@@ -29,8 +29,7 @@ import tempfile
 from pathlib import Path
 
 from superstem.build import heisenberg_even, tower
-from superstem.catalog import entries
-from superstem.classify import classified_values
+from superstem.catalog import classified_values, entries
 from superstem.cli import main
 from superstem.fileformat import export
 

@@ -2,14 +2,14 @@
 """Run every verification pass over the catalog and the standard families.
 
 Sections: stored-table reproduction, classification cross-check, the
-bracket laws, the two size bounds, the derived-size ladder, the stem
+bracket laws, the central quotient bound, the derivation chain
+ad <= ID* <= ID <= Der with the ID* bound, the derived-size ladder, the stem
 decomposition round trip (L = T + A with T stem, rebuilt with the same
 invariants), and the closure of Der(L) under the graded commutator.  Exits
 nonzero if any check fails, so the script doubles as a one-shot regression
 gate.
 """
 
-import argparse
 import sys
 import time
 from dataclasses import replace
@@ -17,7 +17,7 @@ from dataclasses import replace
 from superstem.build import abelian, direct_sum, heisenberg_even, heisenberg_odd, tower
 from superstem.catalog import entries, get, verify_classification, verify_table1
 from superstem.core import validate
-from superstem.derivations import der_bracket, derivation_space, idstar_bound_check
+from superstem.derivations import der_bracket, derivation_report, derivation_space
 from superstem.invariants import (
     StemDecompositionError,
     invariant_report,
@@ -27,16 +27,19 @@ from superstem.invariants import (
     stem_decomposition,
 )
 
+# largest m+n for H(m,n) and largest m for H_m; largest tower parameter t
+MAX_HEISENBERG, MAX_TOWER = 4, 6
 
-def family_corpus(max_heisenberg: int, max_tower: int):
+
+def family_corpus():
     algs = [e.algebra for e in entries()]
     algs += [
         heisenberg_even(m, s - m)
-        for s in range(1, max_heisenberg + 1)
+        for s in range(1, MAX_HEISENBERG + 1)
         for m in range(s + 1)
     ]
-    algs += [heisenberg_odd(m) for m in range(1, max_heisenberg + 1)]
-    algs += [tower(t) for t in range(1, max_tower + 1)]
+    algs += [heisenberg_odd(m) for m in range(1, MAX_HEISENBERG + 1)]
+    algs += [tower(t) for t in range(1, MAX_TOWER + 1)]
     sample = ("(4|0)_2", "(2|2)_6", "(1|3)_1", "(3|2)_13", "(2|3)_18")
     algs += [direct_sum(get(a).algebra, get(b).algebra) for a in sample for b in sample]
     return algs
@@ -52,14 +55,7 @@ def took(start: float) -> str:
     return f" in {time.perf_counter() - start:.2f}s"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-heisenberg", type=int, default=4,
-                        help="largest m+n for H(m,n) and largest m for H_m (default 4)")
-    parser.add_argument("--max-tower", type=int, default=6,
-                        help="largest tower parameter t (default 6)")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     failures = 0
     started = time.perf_counter()
 
@@ -79,7 +75,7 @@ def main(argv=None) -> int:
         print(f"  MISMATCH {check.description}: computed st={check.computed_st}")
     failures += len(bad_checks)
 
-    corpus = family_corpus(args.max_heisenberg, args.max_tower)
+    corpus = family_corpus()
 
     t0 = section("bracket laws")
     lawless = [alg.name for alg in corpus if not validate(alg).ok]
@@ -93,10 +89,18 @@ def main(argv=None) -> int:
     print(f"{len(corpus)} algebras checked, {len(broken)} violations{took(t0)}")
     failures += len(broken)
 
-    t0 = section("ID* bound")
-    broken = [r.name for r in map(idstar_bound_check, corpus) if not r.holds]
-    print(f"{len(corpus)} algebras checked, {len(broken)} violations{took(t0)}")
-    failures += len(broken)
+    t0 = section("derivation chain and ID* bound")
+    reports = [derivation_report(alg) for alg in corpus]
+    chains = [r.name for r in reports if not r.chain_ok]
+    # every algebra here is nilpotent, so a missing bound is a failure too
+    bounds = [r.name for r in reports if r.bound is None or not r.bound.holds]
+    print(f"{len(corpus)} algebras checked, {len(chains)} broken chains, "
+          f"{len(bounds)} bound violations{took(t0)}")
+    for name in chains:
+        print(f"  CHAIN {name}: ad <= ID* <= ID <= Der fails")
+    for name in bounds:
+        print(f"  VIOLATION {name}: ID* bound fails")
+    failures += len(chains) + len(bounds)
 
     t0 = section("derived-size ladder")
     broken = [a.name for a in map(proposition_audit, corpus) if not a.ok]

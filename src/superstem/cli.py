@@ -12,7 +12,6 @@ import sys
 
 from . import catalog, fileformat, reports
 from .build import abelian, heisenberg_even, heisenberg_odd, tower
-from .classify import classify_by_st
 from .core import SuperDim, validate
 from .derivations import derivation_report, idstar_bound_check
 from .invariants import (
@@ -178,7 +177,7 @@ def _cmd_classify(args) -> int:
         print("error: --st and --sdim take a pair like 1,1", file=sys.stderr)
         return USER_ERROR
     try:
-        instances = classify_by_st(value, sdim)
+        instances = catalog.classify_by_st(value, sdim)
     except ValueError as exc:
         # an unclassified st value, or a graded dimension too large to build
         print(f"error: {exc}", file=sys.stderr)

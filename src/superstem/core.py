@@ -105,13 +105,14 @@ class LieSuperalgebra:
 
     @cached_property
     def _support(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
-        n = self.n
+        # any() runs in C, so the all-zero rows, most of the n^2, are not
+        # scanned entry by entry
         return tuple(
             tuple(
-                tuple((k, frac(c)) for k, c in enumerate(self.tensor[i][j]) if c)
-                for j in range(n)
+                tuple((k, frac(c)) for k, c in enumerate(row) if c) if any(row) else ()
+                for row in plane
             )
-            for i in range(n)
+            for plane in self.tensor
         )
 
     def basis_bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:

@@ -250,7 +250,17 @@ def _format_sum(terms: list[tuple[Scalar, str]]) -> str:
 
 
 def export(alg: LieSuperalgebra) -> str:
-    """Serialize an algebra; one canonical orientation i <= j per bracket."""
+    """Serialize an algebra; one canonical orientation i <= j per bracket.
+
+    Raises ValueError for a name that parse would not read back as the same
+    algebra: an algebra name with a quote or a line break in it, or a basis
+    name that is not an identifier.
+    """
+    if '"' in alg.name or "".join(alg.name.splitlines()) != alg.name:
+        raise ValueError(f"algebra name {alg.name!r} cannot be written in the header line")
+    for nm in alg.basis_names:
+        if not _NAME_RE.fullmatch(nm):
+            raise ValueError(f"bad basis name {nm!r}")
     out = [f'algebra "{alg.name}"']
     out.append(("even: " + " ".join(alg.even_names)).rstrip())
     out.append(("odd: " + " ".join(alg.odd_names)).rstrip())

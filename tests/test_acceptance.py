@@ -14,8 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from superstem.build import abelian, direct_sum, heisenberg_even, heisenberg_odd, tower
-from superstem.catalog import entries, get, verify_table1
-from superstem.classify import classify_by_st
+from superstem.catalog import classify_by_st, entries, get, verify_table1
 from superstem.cli import main
 from superstem.core import SuperDim, subspace_intersect, validate
 from superstem.derivations import der_bracket, derivation_report, derivation_space

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -257,3 +258,16 @@ def test_roundtrip_negative_later_terms():
     again = parse(text)
     assert again.tensor == alg.tensor
     assert again.basis_names == alg.basis_names
+
+
+@pytest.mark.parametrize("name, even, offender", (
+    ("x", ("a b",), "a b"),
+    ('say "hi"', ("a",), 'say "hi"'),
+    ("x", ("1a",), "1a"),
+    ("two\u2028lines", ("a",), "two\u2028lines"),
+))
+def test_export_refuses_names_that_do_not_read_back(name, even, offender):
+    # written anyway, these read back as another algebra or not at all
+    alg = algebra_from_relations(name, even, (), [])
+    with pytest.raises(ValueError, match=re.escape(repr(offender))):
+        export(alg)

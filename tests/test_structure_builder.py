@@ -257,6 +257,18 @@ def test_only_from_brackets_writes_the_tensor():
     assert offences == []
 
 
+def test_no_import_inside_a_function():
+    """Every import sits at the top of its module, so an import cycle fails
+    when the package is imported, not later inside one call."""
+    offences = []
+    for path in sorted(Path(superstem.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offences += [f"{path.name}:{node.lineno} imports inside {fn.name}"
+                             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert offences == []
+
+
 def test_only_linalg_divides_or_builds_fractions():
     """Scalars are ints when integral and Fractions only for true rationals,
     which linalg alone makes (through frac and its exact division); `/` on
