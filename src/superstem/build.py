@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import GradedSubspace, LieSuperalgebra, from_brackets, sparse_bracket
+from .core import MAX_BASIS, GradedSubspace, LieSuperalgebra, from_brackets, sparse_bracket
 from .linalg import ONE, ZERO, Scalar, frac, nonzeros, reduce_mod
 
 
@@ -75,16 +75,18 @@ def algebra_from_relations(
     return from_brackets(name, even_names, odd_names, {key: val.items() for key, (val, _) in table.items()})
 
 
+def numbered_names(prefix: str, count: int) -> tuple[str, ...]:
+    """prefix1 .. prefix<count>, refused above MAX_BASIS before a name is built."""
+    if count > MAX_BASIS:
+        raise ValueError(f"at least {count} basis vectors, more than the {MAX_BASIS} an algebra may have")
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
+
+
 def abelian(k: int, l: int) -> LieSuperalgebra:
     """A(k|l): the abelian superalgebra of graded dimension (k|l)."""
     if k < 0 or l < 0:
         raise ValueError("graded dimensions must be non-negative")
-    return algebra_from_relations(
-        f"A({k}|{l})",
-        tuple(f"a{i + 1}" for i in range(k)),
-        tuple(f"b{i + 1}" for i in range(l)),
-        (),
-    )
+    return algebra_from_relations(f"A({k}|{l})", numbered_names("a", k), numbered_names("b", l), ())
 
 
 def heisenberg_even(m: int, n: int) -> LieSuperalgebra:
@@ -95,8 +97,8 @@ def heisenberg_even(m: int, n: int) -> LieSuperalgebra:
     """
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("need m, n >= 0 with m + n >= 1")
-    even = tuple(f"x{i + 1}" for i in range(2 * m)) + ("z",)
-    odd = tuple(f"y{j + 1}" for j in range(n))
+    even = numbered_names("x", 2 * m) + ("z",)
+    odd = numbered_names("y", n)
     z = 2 * m
     rels: list[Relation] = [(i, m + i, {z: ONE}) for i in range(m)]
     rels += [(2 * m + 1 + j, 2 * m + 1 + j, {z: ONE}) for j in range(n)]
@@ -110,8 +112,8 @@ def heisenberg_odd(m: int) -> LieSuperalgebra:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    even = tuple(f"x{j + 1}" for j in range(m))
-    odd = tuple(f"y{j + 1}" for j in range(m)) + ("z",)
+    even = numbered_names("x", m)
+    odd = numbered_names("y", m) + ("z",)
     z = 2 * m
     rels: list[Relation] = [(j, m + j, {z: ONE}) for j in range(m)]
     return algebra_from_relations(f"H_{m}", even, odd, rels)
@@ -124,7 +126,7 @@ def tower(t: int) -> LieSuperalgebra:
     """
     if t < 1:
         raise ValueError("need t >= 1")
-    names = ("s",) + tuple(f"s{i}" for i in range(1, t + 3))
+    names = ("s",) + numbered_names("s", t + 2)
     rels: list[Relation] = [(0, i, {i + 1: ONE}) for i in range(1, t + 2)]
     return algebra_from_relations(f"tower({t})", names, (), rels)
 
@@ -161,10 +163,9 @@ def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra) -> LieSuperalgebra:
         return ra + i if i < rb else ra + sa + i
 
     brackets = {
-        (to_new(i, side), to_new(j, side)): [(to_new(k, side), c) for k, c in alg.basis_bracket(i, j)]
+        (to_new(i, side), to_new(j, side)): [(to_new(k, side), c) for k, c in support]
         for alg, side in ((a, "a"), (b, "b"))
-        for i in range(alg.n)
-        for j in range(alg.n)
+        for i, j, support in alg.nonzero_brackets
     }
     return from_brackets(
         f"{a.name}+{b.name}", a.even_names + tuple(b_even), a.odd_names + tuple(b_odd), brackets)
@@ -210,9 +211,9 @@ def quotient(alg: LieSuperalgebra, ideal: GradedSubspace) -> tuple[LieSuperalgeb
     # residues live on the kept coordinates alone
     new = {k: t for t, k in enumerate(kept)}
     brackets = {
-        (a, b): [(new[k], c) for k, c in reduce_mod(alg.basis_bracket(i, j), basis).items()]
-        for a, i in enumerate(kept)
-        for b, j in enumerate(kept)
+        (new[i], new[j]): [(new[k], c) for k, c in reduce_mod(support, basis).items()]
+        for i, j, support in alg.nonzero_brackets
+        if i in new and j in new
     }
     names = alg.basis_names
     q_even_names = tuple(names[i] for i in kept if i < r)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import abelian, algebra_from_relations, direct_sum, heisenberg_even, heisenberg_odd
+from .build import abelian, algebra_from_relations, direct_sum, heisenberg_even, heisenberg_odd, numbered_names
 from .core import LieSuperalgebra, SuperDim
 from .invariants import _nilpotent_report, st
 from .linalg import frac
@@ -194,8 +194,7 @@ class CatalogEntry:
 
 
 def _build(name: str, k: int, l: int, rels) -> LieSuperalgebra:
-    even = tuple(f"e{i + 1}" for i in range(k))
-    odd = tuple(f"f{i + 1}" for i in range(l))
+    even, odd = numbered_names("e", k), numbered_names("f", l)
     index = {nm: i for i, nm in enumerate(even + odd)}
     relations = [
         (index[a], index[b], {index[t]: frac(c) for c, t in terms})

@@ -4,10 +4,10 @@ Basis vectors are indexed 0..r-1 (even part) then r..r+s-1 (odd part).  The
 structure tensor stores both orientations, tensor[i][j][k] being the
 coefficient of basis vector k in the bracket of basis vectors i and j.
 `from_brackets` is the one writer of the tensor: every constructor hands it
-the sparse brackets of basis pairs.  The tensor is read once, into the
-sparse brackets that `basis_bracket` returns, with each coefficient made
-canonical by `linalg.frac` (an int when integral); brackets, spans, law
-validation and everything built on them use those.
+the sparse brackets of basis pairs.  The tensor is read once, into sparse
+brackets with coefficients made canonical by `linalg.frac` (an int when
+integral); the rest of the library reads them by `basis_bracket(i, j)`, one
+pair, or by `nonzero_brackets`, a walk over the nonzero pairs alone.
 
 A graded subspace is one reduced echelon basis in these n coordinates.  Its
 rows are homogeneous, so every reader works in full coordinates and the
@@ -119,6 +119,11 @@ class LieSuperalgebra:
         """Sparse [b_i, b_j] as (index, coefficient) pairs."""
         return self._support[i][j]
 
+    @cached_property
+    def nonzero_brackets(self) -> tuple[tuple[int, int, tuple[tuple[int, Scalar], ...]], ...]:
+        """Each nonzero [b_i, b_j] as (i, j, basis_bracket(i, j)), in (i, j) order, none mirrored."""
+        return tuple((i, j, s) for i, plane in enumerate(self._support) for j, s in enumerate(plane) if s)
+
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Bilinear extension of the structure tensor to coordinate vectors."""
         n = self.n
@@ -225,35 +230,36 @@ def validate(alg: LieSuperalgebra) -> ValidationReport:
     p = [alg.parity(i) for i in range(n)]
 
     def grading():
-        for i in range(n):
-            for j in range(n):
-                for k, _ in alg.basis_bracket(i, j):
-                    if p[k] != (p[i] + p[j]) % 2:
-                        yield LawViolation(
-                            "grading", (i, j, k),
-                            f"[{names[i]}, {names[j]}] hits {names[k]} of the wrong parity")
+        for i, j, support in alg.nonzero_brackets:
+            for k, _ in support:
+                if p[k] != (p[i] + p[j]) % 2:
+                    yield LawViolation(
+                        "grading", (i, j, k),
+                        f"[{names[i]}, {names[j]}] hits {names[k]} of the wrong parity")
 
     def skew():
-        for i in range(n):
-            for j in range(i, n):
-                s = _sign(p[i] * p[j])
-                mirror = {k: -s * c for k, c in alg.basis_bracket(i, j)}
-                twin = dict(alg.basis_bracket(j, i))
-                if twin != mirror:
-                    k = min(k for k in twin.keys() | mirror.keys() if twin.get(k) != mirror.get(k))
-                    yield LawViolation(
-                        "skew", (i, j, k),
-                        f"[{names[j]}, {names[i]}] is not the signed mirror of the (i, j) orientation")
+        # a pair whose two orientations are both zero keeps the law
+        for i, j in sorted({(min(i, j), max(i, j)) for i, j, _ in alg.nonzero_brackets}):
+            s = _sign(p[i] * p[j])
+            mirror = {k: -s * c for k, c in alg.basis_bracket(i, j)}
+            twin = dict(alg.basis_bracket(j, i))
+            if twin != mirror:
+                k = min(k for k in twin.keys() | mirror.keys() if twin.get(k) != mirror.get(k))
+                yield LawViolation(
+                    "skew", (i, j, k),
+                    f"[{names[j]}, {names[i]}] is not the signed mirror of the (i, j) orientation")
 
     def jacobi():
         # a triple i <= j <= k can break the identity only when one of its
         # inner brackets [b_j, b_k], [b_k, b_i], [b_i, b_j] is nonzero, so
         # each pair (i, j) visits only those k, still in increasing order
-        right = [{k for k in range(n) if alg.basis_bracket(a, k)} for a in range(n)]
-        left = [{k for k in range(n) if alg.basis_bracket(k, a)} for a in range(n)]
+        right, left = [set() for _ in range(n)], [set() for _ in range(n)]
+        for i, j, _ in alg.nonzero_brackets:
+            right[i].add(j)
+            left[j].add(i)
         for i in range(n):
             for j in range(i, n):
-                if alg.basis_bracket(i, j):
+                if j in right[i]:
                     ks = range(j, n)
                 else:
                     ks = sorted(k for k in right[j] | left[i] if k >= j)

@@ -112,31 +112,33 @@ def _embed_echelon(e: EchelonBasis, positions: list[tuple[int, int]], n: int) ->
 
 
 def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[dict[int, Scalar]]:
+    # row (a <= b, m) is coordinate m of D[b_a, b_b] - [D b_a, b_b] - (-1)^(alpha |a|) [b_a, D b_b];
+    # a nonzero [b_i, b_j] enters rows (i, j), (a <= j, j) and (i, b >= i)
     n, r = alg.n, alg.sdim.even
-    of_parity = (range(r), range(r, n))
-    rows = []
-    for a in range(n):
-        pa = alg.parity(a)
-        sign = -ONE if (parity * pa) % 2 else ONE
-        for b in range(a, n):
-            pb = alg.parity(b)
-            per_m: dict[int, dict[int, Scalar]] = {}
+    of_parity = ((0, r), (r, n))
+    p = [alg.parity(i) for i in range(n)]
+    rows: dict[tuple[int, int, int], dict[int, Scalar]] = {}
 
-            def bump(m: int, i: int, j: int, c: Scalar) -> None:
-                row, t = per_m.setdefault(m, {}), pos_index[i, j]
-                row[t] = row.get(t, ZERO) + c
+    def bump(a: int, b: int, m: int, pos: tuple[int, int], c: Scalar) -> None:
+        row, t = rows.setdefault((a, b, m), {}), pos_index[pos]
+        row[t] = row.get(t, ZERO) + c
 
-            for k, c in alg.basis_bracket(a, b):
-                for m in of_parity[(pa + pb + parity) % 2]:
-                    bump(m, m, k, c)
-            for i in of_parity[(pa + parity) % 2]:
-                for m, c in alg.basis_bracket(i, b):
-                    bump(m, i, a, -c)
-            for i in of_parity[(pb + parity) % 2]:
-                for m, c in alg.basis_bracket(a, i):
-                    bump(m, i, b, -sign * c)
-            rows.extend(row for row in per_m.values() if any(row.values()))
-    return rows
+    for i, j, support in alg.nonzero_brackets:
+        if i <= j:
+            lo, hi = of_parity[(p[i] + p[j] + parity) % 2]
+            for k, c in support:
+                for m in range(lo, hi):
+                    bump(i, j, m, (m, k), c)
+        lo, hi = of_parity[(p[i] + parity) % 2]
+        for a in range(lo, min(hi, j + 1)):
+            for m, c in support:
+                bump(a, j, m, (i, a), -c)
+        sign = -ONE if (parity * p[i]) % 2 else ONE
+        lo, hi = of_parity[(p[j] + parity) % 2]
+        for b in range(max(lo, i), hi):
+            for m, c in support:
+                bump(i, b, m, (j, b), -sign * c)
+    return [row for row in rows.values() if any(row.values())]
 
 
 def _solve(alg: LieSuperalgebra, parity: int) -> EchelonBasis:
@@ -153,12 +155,12 @@ def derivation_space(alg: LieSuperalgebra) -> DerivationSpace:
 
 def inner_derivations(alg: LieSuperalgebra) -> DerivationSpace:
     """ad(L), spanned by the adjoint maps of the basis vectors."""
-    n = alg.n
-    flats: dict[int, list] = {0: [], 1: []}
-    for i in range(n):
-        flats[alg.parity(i)].append(
-            {k * n + j: c for j in range(n) for k, c in alg.basis_bracket(i, j)})
-    return DerivationSpace(n, *(rref(sparse_matrix(flats[p], n * n)) for p in (0, 1)))
+    n, r = alg.n, alg.sdim.even
+    flats: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    for i, j, support in alg.nonzero_brackets:
+        for k, c in support:
+            flats[i][k * n + j] = c
+    return DerivationSpace(n, *(rref(sparse_matrix(part, n * n)) for part in (flats[:r], flats[r:])))
 
 
 def _vanishing(basis: EchelonBasis, values: list[dict[int, Scalar]]) -> EchelonBasis:

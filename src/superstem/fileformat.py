@@ -265,10 +265,8 @@ def export(alg: LieSuperalgebra) -> str:
     out.append(("even: " + " ".join(alg.even_names)).rstrip())
     out.append(("odd: " + " ".join(alg.odd_names)).rstrip())
     names = alg.basis_names
-    for i in range(alg.n):
-        for j in range(i, alg.n):
-            support = alg.basis_bracket(i, j)
-            if support:
-                terms = [(c, names[k]) for k, c in support]
-                out.append(f"[{names[i]}, {names[j]}] = {_format_sum(terms)}")
+    for i, j, support in alg.nonzero_brackets:
+        if i <= j:
+            terms = [(c, names[k]) for k, c in support]
+            out.append(f"[{names[i]}, {names[j]}] = {_format_sum(terms)}")
     return "\n".join(out) + "\n"

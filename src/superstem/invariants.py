@@ -32,7 +32,7 @@ class StemDecompositionError(RuntimeError):
 
 def derived_subalgebra(alg: LieSuperalgebra) -> GradedSubspace:
     """The span of all brackets, [L, L]."""
-    return sparse_span(alg, (alg.basis_bracket(i, j) for i in range(alg.n) for j in range(i, alg.n)))
+    return sparse_span(alg, (support for i, j, support in alg.nonzero_brackets if i <= j))
 
 
 def _central_step(alg: LieSuperalgebra, z: GradedSubspace) -> GradedSubspace:
@@ -43,17 +43,11 @@ def _central_step(alg: LieSuperalgebra, z: GradedSubspace) -> GradedSubspace:
     modulo z.  Only basis vectors b_i of one parity reach a given (j, k),
     so the system splits by parity and its kernel basis is homogeneous.
     """
-    rows = []
-    for j in range(alg.n):
-        per_k: dict[int, dict] = {}
-        for i in range(alg.n):
-            support = alg.basis_bracket(i, j)
-            if not support:
-                continue
-            for k, c in reduce_mod(support, z.basis).items():
-                per_k.setdefault(k, {})[i] = c
-        rows.extend(per_k.values())
-    return GradedSubspace(kernel_basis(sparse_matrix(rows, alg.n)), z.even_width)
+    rows: dict[tuple[int, int], dict] = {}
+    for i, j, support in alg.nonzero_brackets:
+        for k, c in reduce_mod(support, z.basis).items():
+            rows.setdefault((j, k), {})[i] = c
+    return GradedSubspace(kernel_basis(sparse_matrix(list(rows.values()), alg.n)), z.even_width)
 
 
 def center(alg: LieSuperalgebra) -> GradedSubspace:

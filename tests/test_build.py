@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
@@ -13,7 +15,7 @@ from superstem.build import (
     quotient,
     tower,
 )
-from superstem.catalog import get, names
+from superstem.catalog import classify_by_st, get, names
 from superstem.core import SuperDim, graded_span, subspace_contains, validate, zero_subspace
 from superstem.invariants import center, derived_subalgebra
 from superstem.linalg import frac, matrix
@@ -72,6 +74,26 @@ def test_constructor_argument_checks():
         tower(0)
     with pytest.raises(ValueError):
         abelian(-1, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: abelian(10**5, 0),
+    lambda: heisenberg_even(10**5, 0),
+    lambda: heisenberg_odd(10**5),
+    lambda: tower(10**5),
+    lambda: classify_by_st(SuperDim(1, 0), SuperDim(10**5, 0)),
+], ids=["abelian", "heisenberg_even", "heisenberg_odd", "tower", "classify"])
+def test_oversized_families_are_refused_before_they_are_built(build):
+    """A family above MAX_BASIS raises before its names and relations are
+    allocated: building 10^5 of them would peak at tens of MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than the 128"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_even_self_bracket_rejected():

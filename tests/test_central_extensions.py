@@ -8,9 +8,12 @@ times by a central basis vector z of drawn parity, with
 then checked against the theorem that `catalog` carries: st(L) >= (0|0),
 st(L) != (0|1), and for a classified st the stem part of L looks like a
 listed head.  "Looks like" is an equal fingerprint, a necessary condition
-and not an isomorphism test.
+and not an isomorphism test.  The draws also carry a check that the
+invariants do not depend on the basis.
 """
 
+from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from hypothesis import strategies as strat
 
 from superstem.build import abelian, algebra_from_relations, heisenberg_even, heisenberg_odd
 from superstem.catalog import classified_values, heads_for
-from superstem.core import SuperDim, validate
+from superstem.core import SuperDim, from_brackets, validate
 from superstem.derivations import derivation_report
 from superstem.invariants import invariant_report, stem_decomposition
 from superstem.linalg import kernel_basis, sparse_matrix
@@ -127,3 +130,45 @@ def test_random_nilpotent_superalgebras_obey_the_classification(alg):
         assert fingerprint(stem) in head_fingerprints(value)
     elif stem.n:
         assert fingerprint(stem) in heisenberg_fingerprints(stem.sdim)
+
+
+SCALES = tuple(Fraction(x) for x in ("1", "-1", "2", "-2", "1/2", "-1/2", "3", "1/3", "2/3", "-3/2"))
+
+
+def rebased(alg, rng):
+    """alg in the basis of the columns of P = U D, U unit upper-triangular
+    with k // 2 off-diagonal entries +-1 in each parity block of size k and
+    D a diagonal of small rationals, so every new basis vector is
+    homogeneous; the new table is denser and no longer integral."""
+    n, r = alg.n, alg.sdim.even
+    upper = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for lo, hi in ((0, r), (r, n)):
+        for j in rng.sample(range(lo + 1, hi), (hi - lo) // 2):
+            upper[rng.randrange(lo, j)][j] = Fraction(rng.choice((1, -1)))
+    diag = [rng.choice(SCALES) for _ in range(n)]
+    cols = [[upper[i][j] * diag[j] for i in range(n)] for j in range(n)]
+
+    def coords(w):
+        # solve U D y = w by back substitution
+        y = [Fraction(0)] * n
+        for k in reversed(range(n)):
+            y[k] = w[k] - sum(upper[k][m] * y[m] for m in range(k + 1, n))
+        return [y[k] / diag[k] for k in range(n)]
+
+    brackets = {(i, j): [(k, x) for k, x in enumerate(coords(alg.bracket(cols[i], cols[j]))) if x]
+                for i in range(n) for j in range(n)}
+    return from_brackets("rebased", alg.even_names, alg.odd_names, brackets)
+
+
+def basis_free_part(alg):
+    rep, der = invariant_report(alg), derivation_report(alg)
+    return (replace(rep, name=None), der.sdim_der, der.sdim_inner, der.sdim_id, der.sdim_id_star,
+            der.chain_ok)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nilpotent_superalgebras(), strat.randoms(use_true_random=False))
+def test_invariants_do_not_depend_on_the_basis(alg, rng):
+    changed = rebased(alg, rng)
+    assert validate(changed).ok
+    assert basis_free_part(changed) == basis_free_part(alg)

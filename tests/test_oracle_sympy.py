@@ -3,7 +3,9 @@
 `rref`, `kernel_basis`, `intersect_spaces` and `mat_mul` are checked
 against sympy's `DomainMatrix` over QQ, which shares no code with
 superstem, on hypothesis matrices and on the Der systems (`_law_rows`) of
-the catalog entries.
+the catalog entries.  Der, ID, ID* and ad are then checked against spaces
+that sympy solves from their definitions, read off the dense structure
+tensor without `_law_rows` or `inner_derivations`.
 """
 
 from fractions import Fraction
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from superstem.catalog import entries
-from superstem.derivations import _allowed_positions, _law_rows
+from superstem.derivations import _allowed_positions, _law_rows, derivation_space, id_star, inner_derivations
 from superstem.invariants import center, derived_subalgebra
 from superstem.linalg import intersect_spaces, kernel_basis, mat_mul, matrix, rref, sparse_matrix
+from test_central_extensions import nilpotent_superalgebras
 
 QQ = pytest.importorskip("sympy").QQ
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -109,3 +112,88 @@ def test_der_systems_match_sympy(entry):
         check_intersection(kernel, kernel)
     derived, cent = derived_subalgebra(alg), center(alg)
     check_intersection(derived.basis, cent.basis)
+
+
+def sparse_domain(rows, cols):
+    """The DomainMatrix over QQ with the given {column: value} rows."""
+    ents = {t: {c: QQ(x.numerator, x.denominator) for c, x in row.items() if x}
+            for t, row in enumerate(rows)}
+    return DomainMatrix({t: row for t, row in ents.items() if row}, (len(rows), cols), QQ)
+
+
+def null_vectors(rows, cols):
+    """A basis of {x : row . x = 0 for every row}, as dense lists."""
+    if not cols:
+        return []
+    return [list(v) for v in fractions(sparse_domain(rows, cols).nullspace(), cols)]
+
+
+def echelon_form(vectors, cols):
+    """(pivots, rows) of the RREF of the span of dense vectors."""
+    ref, pivots = sparse_domain([dict(enumerate(v)) for v in vectors], cols).rref()
+    return tuple(pivots), fractions(ref, len(pivots))
+
+
+def reference_spaces(alg, parity):
+    """Der, ID, ID* and ad of one parity, each as (pivots, rows) in the
+    row-major n^2 flattening (entry (i, j) the b_i-coefficient of D(b_j)),
+    solved by sympy from their definitions on the dense tensor."""
+    n, t = alg.n, alg.tensor
+    p = [alg.parity(i) for i in range(n)]
+    unknowns = [(i, j) for i in range(n) for j in range(n) if p[i] == (p[j] + parity) % 2]
+    col = {pos: u for u, pos in enumerate(unknowns)}
+
+    def condition(terms):
+        row = {}
+        for pos, c in terms:
+            if pos in col and c:
+                row[col[pos]] = row.get(col[pos], 0) + c
+        return row
+
+    # D[b_a, b_b] = [D b_a, b_b] + (-1)^(alpha |a|) [b_a, D b_b], coordinate m
+    leibniz = [
+        condition([((m, k), t[a][b][k]) for k in range(n)]
+                  + [((i, a), -t[i][b][m]) for i in range(n)]
+                  + [((i, b), -(-1) ** (parity * p[a]) * t[a][i][m]) for i in range(n)])
+        for a in range(n) for b in range(n) for m in range(n)
+    ]
+    # [L, L] through its annihilator, Z(L) as {x : [x, b_j] = 0 for all j}
+    brackets = [dict(enumerate(t[i][j])) for i in range(n) for j in range(n)]
+    annihilator = null_vectors(brackets, n)
+    centre = null_vectors([{i: t[i][j][k] for i in range(n)} for j in range(n) for k in range(n)], n)
+    in_derived = [condition([((i, j), w[i]) for i in range(n)]) for w in annihilator for j in range(n)]
+    kills_centre = [condition([((m, j), z[j]) for j in range(n)]) for z in centre for m in range(n)]
+
+    def space(rows):
+        full = []
+        for v in null_vectors(rows, len(unknowns)):
+            flat = [0] * (n * n)
+            for (i, j), x in zip(unknowns, v):
+                flat[i * n + j] = x
+            full.append(flat)
+        return echelon_form(full, n * n)
+
+    ad = [[t[i][j][k] for k in range(n) for j in range(n)] for i in range(n) if p[i] == parity]
+    return (space(leibniz), space(leibniz + in_derived), space(leibniz + in_derived + kills_centre),
+            echelon_form(ad, n * n))
+
+
+def check_derivation_spaces(alg):
+    der = derivation_space(alg)
+    id_space, star = id_star(alg)
+    inner = inner_derivations(alg)
+    for parity in (0, 1):
+        got = [(e.pivot_cols, e.matrix.entries)
+               for e in (space.part(parity) for space in (der, id_space, star, inner))]
+        assert got == list(reference_spaces(alg, parity))
+
+
+@pytest.mark.parametrize("entry", entries(), ids=lambda e: e.name)
+def test_derivation_spaces_match_sympy(entry):
+    check_derivation_spaces(entry.algebra)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nilpotent_superalgebras())
+def test_derivation_spaces_of_random_nilpotent_superalgebras_match_sympy(alg):
+    check_derivation_spaces(alg)

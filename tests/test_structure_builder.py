@@ -10,7 +10,9 @@ brackets of dense basis vectors, dense membership and dense echelon forms,
 one parity at a time; `parity_parts` and `graded` convert between that form
 and a `GradedSubspace`.  The structure tests keep the one-builder rule from
 regressing and keep `/` and `Fraction(` inside linalg, and the guard test
-checks that the library paths never build a dense bracket.
+checks that the library paths never build a dense bracket.  Loops find the
+nonzero brackets through `nonzero_brackets`, never by calling
+`basis_bracket` on every index pair, which a structure test also checks.
 """
 
 import ast
@@ -211,6 +213,8 @@ def test_builders_copy_brackets_exactly():
     assert s.basis_bracket(0, 1) == ((2, frac(1)),) and s.basis_bracket(1, 0) == ()
     q, _ = quotient(lopsided, zero_subspace(lopsided))
     assert q.tensor == lopsided.tensor
+    # the view of the nonzero brackets lists what is stored, unmirrored
+    assert lopsided.nonzero_brackets == ((0, 1, ((2, 1),)),)
 
 
 @pytest.fixture
@@ -252,9 +256,66 @@ def test_only_from_brackets_writes_the_tensor():
                     offences.append(f"{path.name}:{node.lineno} calls LieSuperalgebra(")
                 if isinstance(func, ast.Attribute) and func.attr in ("bracket", "basis_vector", "zero"):
                     offences.append(f"{path.name}:{node.lineno} calls .{func.attr}(")
-            if isinstance(node, ast.Attribute) and node.attr == "tensor" and path.name != "core.py":
-                offences.append(f"{path.name}:{node.lineno} reads .tensor")
+            if isinstance(node, ast.Attribute) and node.attr in ("tensor", "_support") \
+                    and path.name != "core.py":
+                offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert offences == []
+
+
+def range_pair_probes(tree):
+    """The lines of calls basis_bracket(x, y) whose two arguments are both
+    names bound by enclosing for statements or comprehensions over range(...)."""
+    found = []
+
+    def over_range(it):
+        return isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range"
+
+    def bound_by(target):
+        return {node.id for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+    def visit(node, bound):
+        if isinstance(node, ast.For) and over_range(node.iter):
+            bound = bound | bound_by(node.target)
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            for gen in node.generators:
+                if over_range(gen.iter):
+                    bound = bound | bound_by(gen.target)
+        if isinstance(node, ast.Call) and "basis_bracket" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            if len(node.args) == 2 and all(isinstance(a, ast.Name) and a.id in bound for a in node.args):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_no_loop_probes_index_pairs():
+    """Which basis pairs have a nonzero bracket is read from
+    nonzero_brackets, so no library loop calls basis_bracket on every index
+    pair to find out."""
+    offences = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(superstem.__file__).parent.glob("*.py"))
+        for line in range_pair_probes(ast.parse(path.read_text()))
+    ]
+    assert offences == []
+
+
+def test_range_pair_probes_sees_loops_and_comprehensions():
+    src = """
+for i in range(n):
+    for j in range(i, n):
+        alg.basis_bracket(i, j)
+[alg.basis_bracket(a, b) for a in range(n) for b in range(n)]
+for i, j, s in alg.nonzero_brackets:
+    alg.basis_bracket(j, i)
+for a in range(n):
+    for m, c in alg.basis_bracket(a, a):
+        alg.basis_bracket(a, m)
+"""
+    assert range_pair_probes(ast.parse(src)) == [4, 5, 9]
 
 
 def test_no_import_inside_a_function():
