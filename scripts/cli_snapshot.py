@@ -7,7 +7,8 @@ whether a change left every CLI output byte-identical: `diff` their output.
 
     python3 scripts/cli_snapshot.py > after.txt
 
-Files: the 32 catalog entries, H(10,0), tower(20), tower(30), H(12,6), three
+Files: the 32 catalog entries, H(10,0), tower(20), tower(30), H(12,6), H_12
+(odd centre, n = 25, whose Der has maps of both degrees), three
 files whose relations contradict super skew symmetry, and every other
 algebra text written as a string literal in tests/test_cli.py and
 tests/test_fileformat.py.  Each runs under validate, invariants and
@@ -28,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from superstem.build import heisenberg_even, tower
+from superstem.build import heisenberg_even, heisenberg_odd, tower
 from superstem.catalog import classified_values, entries
 from superstem.cli import main
 from superstem.fileformat import export
@@ -91,7 +92,7 @@ def literal_texts(path: Path) -> list[str]:
 
 def corpus() -> dict[str, str]:
     files = {e.name: export(e.algebra) for e in entries()}
-    for alg in (heisenberg_even(10, 0), tower(20), tower(30), heisenberg_even(12, 6)):
+    for alg in (heisenberg_even(10, 0), tower(20), tower(30), heisenberg_even(12, 6), heisenberg_odd(12)):
         files[alg.name] = export(alg)
     files.update(CONFLICTS)
     # test texts are named by content and taken once, so a text added to a

@@ -3,8 +3,13 @@
 A degree-alpha map D satisfies D[x, y] = [Dx, y] + (-1)^(alpha |x|) [x, Dy]
 on homogeneous x, y.  Matrices follow the column convention: M[i][j] is the
 coefficient of basis vector i in D(basis vector j), so only positions with
-parity(i) = parity(j) + alpha can be nonzero.  Spaces are stored as echelon
-bases in the row-major flattening of the full n x n matrix.
+parity(i) = parity(j) + alpha can be nonzero.  A space of maps, both degrees
+together, is one reduced echelon basis in the row-major flattening i n + j
+of the full n x n matrix, with homogeneous rows whose degree is read from
+their pivots.  Der is one kernel of the law rows over all n^2 positions, ad
+one row reduction, and ID and ID* one kernel each in the coordinates of the
+space they are cut from.  The solvers trust the parities of the basis, so
+they first check that the table is graded (core.check_grading).
 
 Maps and echelon bases are Matrix values, which store only the nonzero
 (column, value) pairs of each row.  The law rows, applying a map, brackets
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LieSuperalgebra, SuperDim
+from .core import LieSuperalgebra, SuperDim, check_grading
 from .invariants import (
     InvariantReport,
     _nilpotent_report,
@@ -54,21 +59,34 @@ class GradedLinearMap:
 
 @dataclass(frozen=True)
 class DerivationSpace:
+    """A space of maps of L held as one reduced echelon basis of width n^2.
+
+    Entry (i, j) of a map, the coefficient of b_i in D(b_j), is column
+    i n + j.  Every row is homogeneous: its degree is |i| + |j| at each of
+    its nonzeros, read against even_width, and so at its pivot.  Equality
+    of spaces is dataclass equality.
+    """
+
     n: int
-    even_part: EchelonBasis
-    odd_part: EchelonBasis
+    basis: EchelonBasis
+    even_width: int
+
+    def _degree(self, f: int) -> int:
+        """The degree of the maps whose only nonzero is at column f."""
+        i, j = divmod(f, self.n)
+        return int((i >= self.even_width) != (j >= self.even_width))
 
     @property
     def sdim(self) -> SuperDim:
-        return SuperDim(self.even_part.dim, self.odd_part.dim)
-
-    def part(self, parity: int) -> EchelonBasis:
-        return self.even_part if parity == 0 else self.odd_part
+        odd = sum(map(self._degree, self.basis.pivot_cols))
+        return SuperDim(self.basis.dim - odd, odd)
 
     def maps(self, parity: int) -> tuple[GradedLinearMap, ...]:
         n = self.n
         out = []
-        for flat in self.part(parity).matrix.support:
+        for p, flat in zip(self.basis.pivot_cols, self.basis.matrix.support):
+            if self._degree(p) != parity:
+                continue
             rows: list[list] = [[] for _ in range(n)]
             for f, x in flat:
                 i, j = divmod(f, n)
@@ -77,90 +95,66 @@ class DerivationSpace:
         return tuple(out)
 
     def contains(self, m: GradedLinearMap) -> bool:
-        part = self.part(m.parity)
-        cols = m.matrix.cols
-        if m.matrix.rows * cols != part.width:
-            raise ValueError("vector length does not match basis width")
-        flat = ((i * cols + j, x) for i, row in enumerate(m.matrix.support) for j, x in row)
-        return not reduce_mod(flat, part)
+        """Whether m lies in the space; False when a nonzero of m is not of
+        m's own degree."""
+        n, r, odd = self.n, self.even_width, bool(m.parity)
+        if (m.matrix.rows, m.matrix.cols) != (n, n):
+            raise ValueError("map is not n x n")
+        support = m.matrix.support
+        if any(((i >= r) != (j >= r)) != odd for i, row in enumerate(support) for j, _ in row):
+            return False
+        return not reduce_mod(((i * n + j, x) for i, row in enumerate(support) for j, x in row), self.basis)
 
     def leq(self, other: "DerivationSpace") -> bool:
         if self.n != other.n:
             raise ValueError("ambient widths differ")
-        return all(
-            not reduce_mod(row, other.part(par))
-            for par in (0, 1)
-            for row in self.part(par).matrix.support
-        )
+        return all(not reduce_mod(row, other.basis) for row in self.basis.matrix.support)
 
 
-def _allowed_positions(alg: LieSuperalgebra, parity: int) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(alg.n)
-        for j in range(alg.n)
-        if alg.parity(i) == (alg.parity(j) + parity) % 2
-    ]
-
-
-def _embed_echelon(e: EchelonBasis, positions: list[tuple[int, int]], n: int) -> EchelonBasis:
-    # remapping restricted columns into the n^2 flattening preserves RREF
-    # because the position list is increasing in row-major order
-    flat = [i * n + j for i, j in positions]
-    support = tuple(tuple((flat[t], x) for t, x in row) for row in e.matrix.support)
-    return EchelonBasis(Matrix(e.dim, n * n, support), tuple(flat[p] for p in e.pivot_cols))
-
-
-def _law_rows(alg: LieSuperalgebra, parity: int, pos_index: dict) -> list[dict[int, Scalar]]:
-    # row (a <= b, m) is coordinate m of D[b_a, b_b] - [D b_a, b_b] - (-1)^(alpha |a|) [b_a, D b_b];
-    # a nonzero [b_i, b_j] enters rows (i, j), (a <= j, j) and (i, b >= i)
-    n, r = alg.n, alg.sdim.even
-    of_parity = ((0, r), (r, n))
+def _law_rows(alg: LieSuperalgebra) -> list[dict[int, Scalar]]:
+    # row (a <= b, m) is coordinate m of D[b_a, b_b] - [D b_a, b_b] - (-1)^(alpha |a|) [b_a, D b_b],
+    # over the columns i n + j of D; on a graded table every term of the row
+    # has degree alpha = |a| + |b| + |m|, so its solutions split by degree.
+    # A nonzero [b_i, b_j] enters rows (i, j), (a <= j, j) and (i, b >= i)
+    n = alg.n
     p = [alg.parity(i) for i in range(n)]
     rows: dict[tuple[int, int, int], dict[int, Scalar]] = {}
 
-    def bump(a: int, b: int, m: int, pos: tuple[int, int], c: Scalar) -> None:
-        row, t = rows.setdefault((a, b, m), {}), pos_index[pos]
-        row[t] = row.get(t, ZERO) + c
+    def bump(a: int, b: int, m: int, col: int, c: Scalar) -> None:
+        row = rows.setdefault((a, b, m), {})
+        row[col] = row.get(col, ZERO) + c
 
     for i, j, support in alg.nonzero_brackets:
         if i <= j:
-            lo, hi = of_parity[(p[i] + p[j] + parity) % 2]
             for k, c in support:
-                for m in range(lo, hi):
-                    bump(i, j, m, (m, k), c)
-        lo, hi = of_parity[(p[i] + parity) % 2]
-        for a in range(lo, min(hi, j + 1)):
+                for m in range(n):
+                    bump(i, j, m, m * n + k, c)
+        for a in range(j + 1):
             for m, c in support:
-                bump(a, j, m, (i, a), -c)
-        sign = -ONE if (parity * p[i]) % 2 else ONE
-        lo, hi = of_parity[(p[j] + parity) % 2]
-        for b in range(max(lo, i), hi):
+                bump(a, j, m, i * n + a, -c)
+        for b in range(i, n):
+            sign = -ONE if (p[i] * (p[j] + p[b])) % 2 else ONE
             for m, c in support:
-                bump(i, b, m, (j, b), -sign * c)
+                bump(i, b, m, j * n + b, -sign * c)
     return [row for row in rows.values() if any(row.values())]
 
 
-def _solve(alg: LieSuperalgebra, parity: int) -> EchelonBasis:
-    positions = _allowed_positions(alg, parity)
-    pos_index = {pos: t for t, pos in enumerate(positions)}
-    rows = _law_rows(alg, parity, pos_index)
-    return _embed_echelon(kernel_basis(sparse_matrix(rows, len(positions))), positions, alg.n)
-
-
 def derivation_space(alg: LieSuperalgebra) -> DerivationSpace:
-    """All superderivations, both parities, as echelonized matrix spaces."""
-    return DerivationSpace(alg.n, _solve(alg, 0), _solve(alg, 1))
+    """All superderivations, both degrees, as one kernel of the law rows."""
+    check_grading(alg)
+    n = alg.n
+    return DerivationSpace(n, kernel_basis(sparse_matrix(_law_rows(alg), n * n)), alg.sdim.even)
 
 
 def inner_derivations(alg: LieSuperalgebra) -> DerivationSpace:
     """ad(L), spanned by the adjoint maps of the basis vectors."""
-    n, r = alg.n, alg.sdim.even
+    check_grading(alg)
+    n = alg.n
     flats: list[dict[int, Scalar]] = [{} for _ in range(n)]
     for i, j, support in alg.nonzero_brackets:
         for k, c in support:
             flats[i][k * n + j] = c
-    return DerivationSpace(n, *(rref(sparse_matrix(part, n * n)) for part in (flats[:r], flats[r:])))
+    return DerivationSpace(n, rref(sparse_matrix(flats, n * n)), alg.sdim.even)
 
 
 def _vanishing(basis: EchelonBasis, values: list[dict[int, Scalar]]) -> EchelonBasis:
@@ -183,11 +177,13 @@ def _vanishing(basis: EchelonBasis, values: list[dict[int, Scalar]]) -> EchelonB
 
 
 def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSpace, DerivationSpace]:
-    """(ID(L), ID*(L)) found inside der = Der(L), one parity at a time.
+    """(ID(L), ID*(L)) found inside der = Der(L), one kernel each.
 
     ID = {D in Der : D(b_j) = 0 mod [L, L] for every j} is cut from Der by
     the residues of its columns; ID* = {D in ID : D(z) = 0 for z in Z(L)} is
-    cut from ID by the images of a basis of the centre.
+    cut from ID by the images of a basis of the centre.  [L, L] and Z(L)
+    have homogeneous bases, so each condition is nonzero on maps of one
+    degree only, and both degrees are cut at once.
     """
     n = alg.n
     derived = derived_subalgebra(alg).basis
@@ -213,13 +209,9 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
                     out[t * n + i] = out.get(t * n + i, ZERO) + x * z[j]
         return {k: x for k, x in out.items() if x}
 
-    id_parts, star_parts = [], []
-    for parity in (0, 1):
-        basis = der.part(parity)
-        id_part = _vanishing(basis, [residues(d) for d in basis.matrix.support])
-        id_parts.append(id_part)
-        star_parts.append(_vanishing(id_part, [central_images(d) for d in id_part.matrix.support]))
-    return DerivationSpace(n, *id_parts), DerivationSpace(n, *star_parts)
+    id_basis = _vanishing(der.basis, [residues(d) for d in der.basis.matrix.support])
+    star_basis = _vanishing(id_basis, [central_images(d) for d in id_basis.matrix.support])
+    return DerivationSpace(n, id_basis, der.even_width), DerivationSpace(n, star_basis, der.even_width)
 
 
 def id_star(alg: LieSuperalgebra) -> tuple[DerivationSpace, DerivationSpace]:
@@ -227,7 +219,7 @@ def id_star(alg: LieSuperalgebra) -> tuple[DerivationSpace, DerivationSpace]:
 
     ID(L) is the space of superderivations with image inside [L, L]; ID*(L)
     is the subspace of those that also vanish on the centre.  Der(L) is
-    solved once per parity; ID and ID* are small kernels in the coordinates
+    solved once; ID and ID* are small kernels in the coordinates
     of its basis, ID = {D in Der : D(b_j) in [L, L] for all j} and
     ID* = {D in ID : D(Z(L)) = 0}.
     """
@@ -287,9 +279,9 @@ class DerivationReport:
 def derivation_report(alg: LieSuperalgebra) -> DerivationReport:
     """Dimensions of Der, ad, ID, ID* plus the containment chain and bound.
 
-    Two n^2-wide kernel solves, Der per parity.  ID and ID* are found
-    inside that Der as in id_star, ID* is shared with the bound, and the bound's (p|q)
-    and lambda come from invariant_report.
+    One n^2-wide kernel solve, Der.  ID and ID* are found inside that Der as
+    in id_star, ID* is shared with the bound, and the bound's (p|q) and
+    lambda come from invariant_report.
     """
     der = derivation_space(alg)
     inner = inner_derivations(alg)

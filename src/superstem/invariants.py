@@ -10,6 +10,7 @@ from .core import (
     GradedSubspace,
     LieSuperalgebra,
     SuperDim,
+    check_grading,
     from_brackets,
     sparse_bracket,
     sparse_span,
@@ -255,8 +256,10 @@ def invariant_report(alg: LieSuperalgebra) -> InvariantReport:
     follows without quotient algebras: sdim L/Z(L) = sdim L - sdim Z(L),
     and the generator pair of L/Z(L), the one the bound uses, is
     sdim L - sdim([L,L] + Z(L)), because [L/Z, L/Z] = ([L,L] + Z)/Z.
-    Fields depending on nilpotency are None when the series stalls.
+    Fields depending on nilpotency are None when the series stalls.  A table
+    that is not graded raises GradingError first.
     """
+    check_grading(alg)
     derived = derived_subalgebra(alg)
     series = upper_central_series(alg)
     cent = series[0] if series else zero_subspace(alg)

@@ -16,20 +16,26 @@ can be shared freely between threads.  Spans are kept in reduced row echelon
 form, which makes equality of subspaces plain tuple equality.
 
 There is one sparse kernel: a reduction loop over rows given by the
-(column, value) pairs of their nonzero entries.  `_insert` is the one step
-that adds a row to a reduced echelon form: it reduces the row against the
-rows kept so far and clears the new pivot from them.  Elimination inserts
-the rows of a matrix one at a time; `extend` and the sums and intersections
-of spaces start from the stored rows of an echelon basis, which are already
-reduced, and insert only the new rows; `reduce_mod` reduces one vector
-against the stored rows of an echelon basis and returns the residual only
-(the coordinates of a member are its values at the pivot columns); kernels
-are eliminations of sparse rows built from an echelon form.
+(column, value) pairs of their nonzero entries.  `_Echelon.insert` is the
+one step that adds a row to a reduced echelon form: it reduces the row
+against the rows kept so far and clears the new pivot from the kept rows
+that hold it, which a column index over the kept rows names, so an
+elimination costs what its fill costs (T. A. Davis, Direct Methods for
+Sparse Linear Systems, SIAM 2006).  Elimination inserts the rows of a
+matrix one at a time; `extend` and the sums and intersections of spaces
+take up the stored rows of an echelon basis, which insert unchanged, and
+reduce only the new rows; `reduce_mod` reduces one vector against an
+echelon basis at the pivots in the vector's support alone and returns the
+residual only (the coordinates of a member are its values at the pivot
+columns); a kernel is one elimination with the columns in reverse order,
+whose kernel vectors are already in reduced echelon form.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -148,6 +154,11 @@ class EchelonBasis:
     def width(self) -> int:
         return self.matrix.cols
 
+    @cached_property
+    def rows_at(self) -> dict[int, Row]:
+        """{pivot column: its row}, built on first use."""
+        return dict(zip(self.pivot_cols, self.matrix.support))
+
 
 def _reduce(
     work: dict[int, Scalar], rows: Iterable[tuple[int, Iterable[tuple[int, Scalar]]]]
@@ -165,38 +176,61 @@ def _reduce(
                 work[j] = y if type(y) is int else _canon(y)
 
 
-def _insert(kept: dict[int, dict[int, Scalar]], row: Iterable[tuple[int, Scalar]]) -> bool:
-    """Insert one row into a reduced echelon form {pivot: nonzeros of its row},
-    in place; whether it added a pivot.
+class _Echelon:
+    """A reduced echelon form being built: the kept rows as {pivot: nonzeros
+    of its row}, and a column index {column: pivots of the rows nonzero
+    there} over the same rows.
 
-    The row is reduced against the kept rows, scaled to a unit pivot at its
-    first nonzero column (only when the pivot is not already 1), and its
-    pivot is cleared from the kept rows.  Kept rows are zero in each other's
-    pivots, so the order of the reductions does not matter, and each row is
-    zero left of its pivot.
+    `insert` is the one step that adds a row.  The index lets it clear a new
+    pivot from the rows that hold it alone, instead of scanning every kept
+    row, so an elimination costs what its fill costs.  The rows of an echelon
+    basis are inserted unchanged, so a stored basis is taken up by inserting
+    its rows.
     """
-    work = dict(row)
-    _reduce(work, [(p, kept[p].items()) for p in work.keys() & kept.keys()])
-    work = {j: x for j, x in work.items() if x}
-    if not work:
-        return False
-    q = min(work)
-    pivot = work[q]
-    if pivot != ONE:
-        work = {j: _div(x, pivot) for j, x in work.items()}
-    for p, other in kept.items():
-        if q in other:
+
+    def __init__(self) -> None:
+        self.rows: dict[int, dict[int, Scalar]] = {}
+        self.where: defaultdict[int, set[int]] = defaultdict(set)
+
+    def insert(self, row: Iterable[tuple[int, Scalar]]) -> bool:
+        """Insert one row, in place; whether it added a pivot.
+
+        The row is reduced against the kept rows, scaled to a unit pivot at
+        its first nonzero column (only when the pivot is not already 1), and
+        its pivot is cleared from the kept rows that hold it.  Kept rows are
+        zero in each other's pivots, so the order of the reductions does not
+        matter, and each row is zero left of its pivot.
+        """
+        rows, where = self.rows, self.where
+        work = dict(row)
+        _reduce(work, [(p, rows[p].items()) for p in work.keys() & rows.keys()])
+        work = {j: x for j, x in work.items() if x}
+        if not work:
+            return False
+        q = min(work)
+        pivot = work[q]
+        if pivot != ONE:
+            work = {j: _div(x, pivot) for j, x in work.items()}
+        for p in tuple(where[q]):
+            other = rows[p]
             _reduce(other, ((q, work.items()),))
-            kept[p] = {j: x for j, x in other.items() if x}
-    kept[q] = work
-    return True
+            for j in work:
+                if other[j]:
+                    where[j].add(p)
+                else:
+                    del other[j]
+                    where[j].discard(p)
+        for j in work:
+            where[j].add(q)
+        rows[q] = work
+        return True
 
 
-def _eliminate(rows: Iterable[Iterable[tuple[int, Scalar]]]) -> dict[int, dict[int, Scalar]]:
-    """The reduced echelon form of a span, as {pivot: nonzeros of its row}."""
-    kept: dict[int, dict[int, Scalar]] = {}
+def _eliminate(rows: Iterable[Iterable[tuple[int, Scalar]]]) -> _Echelon:
+    """The reduced echelon form of a span."""
+    kept = _Echelon()
     for row in rows:
-        _insert(kept, row)
+        kept.insert(row)
     return kept
 
 
@@ -207,7 +241,7 @@ def _basis(kept: dict[int, dict[int, Scalar]], width: int) -> EchelonBasis:
 
 def rref(m: Matrix) -> EchelonBasis:
     """Reduced row echelon form with zero rows dropped."""
-    return _basis(_eliminate(m.support), m.cols)
+    return _basis(_eliminate(m.support).rows, m.cols)
 
 
 def empty_basis(width: int) -> EchelonBasis:
@@ -221,22 +255,23 @@ def reduce_mod(v: Iterable[tuple[int, Scalar]], b: EchelonBasis) -> dict[int, Sc
     It is empty exactly when v lies in the span.  Every row of b is zero at
     the other rows' pivots, so the multiple of row t taken off is v's value
     at pivot column t: for a member, the coordinates are its values at the
-    pivot columns.
+    pivot columns, and only the pivots in v's support are visited.
     """
     work = {j: x if type(x) is int else _canon(x) for j, x in v}
-    _reduce(work, zip(b.pivot_cols, b.matrix.support))
+    rows = b.rows_at
+    _reduce(work, [(p, rows[p]) for p in work.keys() & rows.keys()])
     return {j: x for j, x in work.items() if x}
 
 
 def extend(basis: EchelonBasis, rows: Iterable[Row]) -> tuple[EchelonBasis, list[Row]]:
     """The span of basis and rows, with the rows, in order, that added a pivot.
 
-    The stored rows of basis are already a reduced echelon form, so only
-    the new rows are inserted.
+    The stored rows of basis are already a reduced echelon form, so they
+    are inserted unchanged and only the new rows are reduced.
     """
-    kept = {p: dict(row) for p, row in zip(basis.pivot_cols, basis.matrix.support)}
-    added = [row for row in rows if _insert(kept, row)]
-    return _basis(kept, basis.width), added
+    kept = _eliminate(basis.matrix.support)
+    added = [row for row in rows if kept.insert(row)]
+    return _basis(kept.rows, basis.width), added
 
 
 def sum_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
@@ -246,31 +281,37 @@ def sum_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
 
 
 def kernel_basis(m: Matrix) -> EchelonBasis:
-    """Echelonized basis of the right null space {x : m x = 0}."""
-    e = rref(m)
-    # the kernel vector of free column f is e_f - sum over pivots p of
-    # row_p[f] e_p
-    pivots = set(e.pivot_cols)
-    vectors = {f: {f: ONE} for f in range(m.cols) if f not in pivots}
-    for p, row in zip(e.pivot_cols, e.matrix.support):
-        for f, x in row:
-            if f != p:
-                vectors[f][p] = -x
-    return _basis(_eliminate(v.items() for v in vectors.values()), m.cols)
+    """Echelonized basis of the right null space {x : m x = 0}, from one
+    elimination.
+
+    The rows are eliminated with the columns in reverse order, so each kept
+    row's pivot p is its last nonzero column.  The kernel vector of free
+    column f, e_f minus row_p[f] e_p over the pivots p, is then zero left
+    of f and at every other free column: the vectors already are the
+    reduced echelon basis, in increasing order of f.
+    """
+    last = m.cols - 1
+    kept = _eliminate([(last - j, x) for j, x in row] for row in m.support).rows
+    vectors = {f: {f: ONE} for f in range(m.cols) if last - f not in kept}
+    for q, row in kept.items():
+        for g, x in row.items():
+            if g != q:
+                vectors[last - g][last - q] = -x
+    return EchelonBasis(sparse_matrix(list(vectors.values()), m.cols), tuple(vectors))
 
 
 def intersect_spaces(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
     """Intersection by one elimination of [a | a] stacked over [b | 0].
 
-    The rows [a | a] are already reduced, with a's pivots, so only b's rows
-    are inserted.  The rows of the result whose left half is zero are the
+    The rows [a | a] are already reduced, with a's pivots, so they are
+    inserted unchanged and only b's rows are reduced.  The rows of the result whose left half is zero are the
     (0, x . rows(a)) with x . rows(a) = -y . rows(b), so their right halves
     are an echelon basis of the intersection.
     """
     if a.width != b.width:
         raise ValueError("ambient widths differ")
     w = a.width
-    kept = {p: dict(row + tuple((j + w, x) for j, x in row)) for p, row in zip(a.pivot_cols, a.matrix.support)}
+    kept = _eliminate(row + tuple((j + w, x) for j, x in row) for row in a.matrix.support)
     for row in b.matrix.support:
-        _insert(kept, row)
-    return _basis({p - w: {j - w: x for j, x in row.items()} for p, row in kept.items() if p >= w}, w)
+        kept.insert(row)
+    return _basis({p - w: {j - w: x for j, x in row.items()} for p, row in kept.rows.items() if p >= w}, w)

@@ -1,9 +1,20 @@
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from superstem.build import abelian, heisenberg_even, heisenberg_odd, tower
-from superstem.catalog import get, names
-from superstem.core import SuperDim, subspace_contains, vector_parity
+from superstem.build import abelian, algebra_from_relations, heisenberg_even, heisenberg_odd, tower
+from superstem.catalog import entries, get, names
+from superstem.core import (
+    GradingError,
+    SuperDim,
+    check_grading,
+    grading_violations,
+    subspace_contains,
+    validate,
+    vector_parity,
+)
 from superstem.derivations import (
     GradedLinearMap,
     der_bracket,
@@ -13,7 +24,15 @@ from superstem.derivations import (
     idstar_bound_check,
     inner_derivations,
 )
-from superstem.invariants import center, derived_subalgebra
+from superstem.invariants import (
+    center,
+    derived_subalgebra,
+    invariant_report,
+    proposition_audit,
+    schur_bound_check,
+    st,
+    t_scalar,
+)
 from superstem.linalg import frac, matrix
 
 from test_sparse_maps import flatten_map
@@ -191,3 +210,50 @@ def test_derivation_chain_on_catalog(name):
     rep = derivation_report(get(name).algebra)
     assert rep.chain_ok
     assert rep.bound is not None and rep.bound.holds
+
+
+def mis_graded():
+    """A table whose one bracket [x1, x2] = y sends two even vectors to an
+    odd one; skew symmetry and Jacobi hold."""
+    return algebra_from_relations("mixed", ("x1", "x2"), ("y",), [(0, 1, {2: 1})])
+
+
+MIS_GRADED_READERS = (derivation_space, inner_derivations, id_star, derivation_report,
+                      idstar_bound_check, invariant_report, st, t_scalar, schur_bound_check,
+                      proposition_audit)
+
+
+@pytest.mark.parametrize("fn", MIS_GRADED_READERS, ids=lambda fn: fn.__name__)
+def test_mis_graded_table_raises_grading_error(fn):
+    """The solvers trust the parities of the basis, so a table that is not
+    graded is refused before any solve, naming its first bad bracket."""
+    with pytest.raises(GradingError, match=r"\[x1, x2\] hits y of the wrong parity"):
+        fn(mis_graded())
+
+
+def test_grading_check_and_validate_share_one_law():
+    alg = mis_graded()
+    assert issubclass(GradingError, ValueError)
+    assert [v.indices for v in grading_violations(alg)] == [(0, 1, 2), (1, 0, 2)]
+    assert validate(alg).violations == (next(grading_violations(alg)),)
+    for entry in entries():
+        assert next(grading_violations(entry.algebra), None) is None
+        check_grading(entry.algebra)
+
+
+@pytest.mark.parametrize("build, args, sdim_der", [
+    pytest.param(tower, (120,), SuperDim(245, 0), id="tower(120)"),
+    pytest.param(heisenberg_even, (60, 0), SuperDim(7381, 0), id="H(60,0)"),
+    pytest.param(heisenberg_odd, (60,), SuperDim(3661, 3660), id="H_60"),
+])
+def test_derivation_report_scales_past_n_120(build, args, sdim_der):
+    """Der at n = 121 and 123 is one kernel of about n^2 columns whose
+    elimination costs what its fill costs: each report takes a fraction of
+    a second (tower(120) took 5-10 s when each new pivot was cleared by a
+    scan of every kept row)."""
+    alg = build(*args)
+    start = time.perf_counter()
+    rep = derivation_report(alg)
+    elapsed = time.perf_counter() - start
+    assert rep.sdim_der == sdim_der and rep.chain_ok
+    assert elapsed < 2.0, f"{alg.name}: derivation_report took {elapsed:.2f} s"

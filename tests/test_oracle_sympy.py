@@ -2,8 +2,8 @@
 
 `rref`, `kernel_basis`, `intersect_spaces` and `mat_mul` are checked
 against sympy's `DomainMatrix` over QQ, which shares no code with
-superstem, on hypothesis matrices and on the Der systems (`_law_rows`) of
-the catalog entries.  Der, ID, ID* and ad are then checked against spaces
+superstem, on hypothesis matrices and on the Der system (`_law_rows`, one
+n^2-wide system for both degrees) of each catalog entry.  Der, ID, ID* and ad are then checked against spaces
 that sympy solves from their definitions, read off the dense structure
 tensor without `_law_rows` or `inner_derivations`.
 """
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from superstem.catalog import entries
-from superstem.derivations import _allowed_positions, _law_rows, derivation_space, id_star, inner_derivations
+from superstem.derivations import _law_rows, derivation_space, id_star, inner_derivations
 from superstem.invariants import center, derived_subalgebra
 from superstem.linalg import intersect_spaces, kernel_basis, mat_mul, matrix, rref, sparse_matrix
 from test_central_extensions import nilpotent_superalgebras
@@ -101,15 +101,12 @@ def test_mat_mul_matches_sympy(pair):
 @pytest.mark.parametrize("entry", entries(), ids=lambda e: e.name)
 def test_der_systems_match_sympy(entry):
     alg = entry.algebra
-    for parity in (0, 1):
-        positions = _allowed_positions(alg, parity)
-        rows = _law_rows(alg, parity, {pos: t for t, pos in enumerate(positions)})
-        m = sparse_matrix(rows, len(positions))
-        check_rref(m)
-        check_kernel(m)
-        kernel = kernel_basis(m)
-        check_intersection(kernel, rref(m))
-        check_intersection(kernel, kernel)
+    m = sparse_matrix(_law_rows(alg), alg.n ** 2)
+    check_rref(m)
+    check_kernel(m)
+    kernel = kernel_basis(m)
+    check_intersection(kernel, rref(m))
+    check_intersection(kernel, kernel)
     derived, cent = derived_subalgebra(alg), center(alg)
     check_intersection(derived.basis, cent.basis)
 
@@ -179,13 +176,20 @@ def reference_spaces(alg, parity):
 
 
 def check_derivation_spaces(alg):
+    """Each space is the one sympy solves for each degree apart, its rows
+    those of both degrees sorted by pivot; maps(parity) are the rows of
+    that degree."""
     der = derivation_space(alg)
     id_space, star = id_star(alg)
     inner = inner_derivations(alg)
-    for parity in (0, 1):
-        got = [(e.pivot_cols, e.matrix.entries)
-               for e in (space.part(parity) for space in (der, id_space, star, inner))]
-        assert got == list(reference_spaces(alg, parity))
+    even, odd = reference_spaces(alg, 0), reference_spaces(alg, 1)
+    for space, (even_pivots, even_rows), (odd_pivots, odd_rows) in zip((der, id_space, star, inner), even, odd):
+        merged = sorted(zip(even_pivots + odd_pivots, even_rows + odd_rows))
+        assert (space.basis.pivot_cols, space.basis.matrix.entries) == (
+            tuple(p for p, _ in merged), tuple(row for _, row in merged))
+        assert tuple(space.sdim) == (len(even_pivots), len(odd_pivots))
+        for parity, rows in ((0, even_rows), (1, odd_rows)):
+            assert [tuple(x for row in m.matrix.entries for x in row) for m in space.maps(parity)] == list(rows)
 
 
 @pytest.mark.parametrize("entry", entries(), ids=lambda e: e.name)

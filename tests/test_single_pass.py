@@ -4,10 +4,10 @@ The upper central series is computed as one kernel per step on L itself,
 and the generator pair of L/Z(L) as sdim L - sdim([L,L] + Z(L)).  The
 differential tests rebuild both the old way, through `quotient` and
 `QuotientMap.lift`; the guard tests check that the report paths build no
-quotient algebra and solve each derivation system once.  ID and ID* are
-found inside the Der solution; they are checked against the stacked
-n^2-wide systems that did it before, on the corpus and on rescaled and
-sheared bases.
+quotient algebra and solve Der once, as one n^2-wide system.  ID and ID*
+are found inside the Der solution; they are checked against stacked
+systems that solve each parity apart, in that parity's own positions, on
+the corpus and on rescaled and sheared bases.
 """
 
 import sys
@@ -37,8 +37,6 @@ from superstem.core import (
 )
 from superstem.derivations import (
     DerivationSpace,
-    _allowed_positions,
-    _embed_echelon,
     _law_rows,
     derivation_report,
     id_star,
@@ -78,6 +76,41 @@ def graded(even, odd):
     basis = EchelonBasis(Matrix(even.dim + odd.dim, r + odd.width, even.matrix.support + odd_rows),
                          even.pivot_cols + tuple(r + p for p in odd.pivot_cols))
     return GradedSubspace(basis, r)
+
+
+def allowed_positions(alg, parity):
+    """The positions (i, j) that a map of this parity may fill, in row-major
+    order: those with parity(i) = parity(j) + parity."""
+    return [(i, j) for i in range(alg.n) for j in range(alg.n)
+            if alg.parity(i) == (alg.parity(j) + parity) % 2]
+
+
+def embedded(e, positions, n):
+    """An echelon basis over the given positions, moved into the row-major
+    n^2 flattening; it stays reduced because the positions increase in
+    row-major order."""
+    flat = [i * n + j for i, j in positions]
+    support = tuple(tuple((flat[t], x) for t, x in row) for row in e.matrix.support)
+    return EchelonBasis(Matrix(e.dim, n * n, support), tuple(flat[p] for p in e.pivot_cols))
+
+
+def from_parts(alg, even, odd):
+    """The DerivationSpace whose maps of degree 0 and 1 are spanned by the
+    n^2-wide echelon bases even and odd: their rows, sorted by pivot."""
+    rows = sorted(zip(even.pivot_cols + odd.pivot_cols, even.matrix.support + odd.matrix.support))
+    basis = EchelonBasis(Matrix(len(rows), alg.n ** 2, tuple(row for _, row in rows)),
+                         tuple(p for p, _ in rows))
+    return DerivationSpace(alg.n, basis, alg.sdim.even)
+
+
+def part(space, parity):
+    """The rows of a DerivationSpace whose pivot is of the given degree, as
+    an n^2-wide echelon basis."""
+    n, r = space.n, space.even_width
+    rows = [(p, row) for p, row in zip(space.basis.pivot_cols, space.basis.matrix.support)
+            if ((p // n >= r) != (p % n >= r)) == bool(parity)]
+    return EchelonBasis(Matrix(len(rows), n * n, tuple(row for _, row in rows)),
+                        tuple(p for p, _ in rows))
 
 
 def non_nilpotent_example():
@@ -187,39 +220,45 @@ def test_catalog_verification_builds_no_quotient(no_quotients):
 
 
 @pytest.fixture
-def solve_calls(monkeypatch):
-    """The parities `derivations._solve` is called with, in call order."""
-    calls = []
-    solve = superstem.derivations._solve
+def kernel_widths(monkeypatch):
+    """The widths of the kernels `derivations` solves, in call order."""
+    widths = []
+    solve = superstem.derivations.kernel_basis
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve(*args, **kwargs)
+    def counting(m):
+        widths.append(m.cols)
+        return solve(m)
 
-    monkeypatch.setattr(superstem.derivations, "_solve", counting)
-    return calls
+    monkeypatch.setattr(superstem.derivations, "kernel_basis", counting)
+    return widths
 
 
 SOLVE_GUARD_ALGEBRAS = [get("(3|2)_13").algebra, heisenberg_even(2, 1), tower(3), abelian(1, 2)]
 
 
 @pytest.mark.parametrize("alg", SOLVE_GUARD_ALGEBRAS, ids=lambda a: a.name)
-def test_derivation_report_solves_two_systems(solve_calls, alg):
-    derivation_report(alg)
-    assert sorted(solve_calls) == [0, 1]
+def test_derivation_report_solves_der_once(kernel_widths, alg):
+    """Der is one n^2-wide kernel; ID is cut in Der's coordinates and ID*
+    in ID's, one kernel each."""
+    rep = derivation_report(alg)
+    assert kernel_widths == [alg.n ** 2, rep.sdim_der.total, rep.sdim_id.total]
 
 
 @pytest.mark.parametrize("alg", SOLVE_GUARD_ALGEBRAS, ids=lambda a: a.name)
-def test_idstar_bound_check_solves_two_systems(solve_calls, alg):
+def test_idstar_bound_check_solves_der_once(kernel_widths, alg):
     idstar_bound_check(alg)
-    assert sorted(solve_calls) == [0, 1]
+    assert len(kernel_widths) == 3 and kernel_widths[0] == alg.n ** 2
 
 
 def stacked_id_star(alg):
     """(ID, ID*) the way they were first computed: the derivation law, the
     image rows (each D(b_j) lies in [L,L]) and, for ID*, the kill rows
-    (D vanishes on Z(L)) stacked into one n^2-wide system per parity."""
+    (D vanishes on Z(L)) stacked into one system per parity, over the
+    positions that parity allows.  The law rows are taken from `_law_rows`
+    and moved into those positions; each is homogeneous, so it falls in one
+    parity's system."""
     n, r = alg.n, alg.sdim.even
+    law_rows = _law_rows(alg)
     derived = parity_parts(derived_subalgebra(alg))
     cent_rows = center(alg).basis.matrix.entries
 
@@ -252,16 +291,19 @@ def stacked_id_star(alg):
         return rows
 
     def solve(parity, kill):
-        positions = _allowed_positions(alg, parity)
+        positions = allowed_positions(alg, parity)
         pos_index = {pos: t for t, pos in enumerate(positions)}
-        law = _law_rows(alg, parity, pos_index)
-        rows = [[row.get(t, 0) for t in range(len(positions))] for row in law]
+        rows = []
+        for law in law_rows:
+            at = {pos_index.get(divmod(f, n)): x for f, x in law.items()}
+            if None not in at:
+                rows.append([at.get(t, 0) for t in range(len(positions))])
         rows += image_rows(parity, pos_index)
         if kill:
             rows += kill_rows(parity, pos_index)
-        return _embed_echelon(kernel_basis(matrix(rows, cols=len(positions))), positions, n)
+        return embedded(kernel_basis(matrix(rows, cols=len(positions))), positions, n)
 
-    return tuple(DerivationSpace(n, solve(0, kill), solve(1, kill)) for kill in (False, True))
+    return tuple(from_parts(alg, solve(0, kill), solve(1, kill)) for kill in (False, True))
 
 
 def rescaled(alg):

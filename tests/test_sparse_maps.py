@@ -25,7 +25,6 @@ from superstem.catalog import entries, get
 from superstem.core import sparse_bracket
 from superstem.derivations import (
     GradedLinearMap,
-    _allowed_positions,
     der_bracket,
     derivation_report,
     derivation_space,
@@ -50,7 +49,7 @@ from superstem.linalg import (
 )
 
 from test_linalg import mat_vec
-from test_single_pass import acceptance_corpus, rescaled
+from test_single_pass import acceptance_corpus, allowed_positions, part, rescaled
 
 
 def flatten_map(m):
@@ -84,15 +83,15 @@ def dense_reduce(v, b):
 
 
 def dense_contains(space, m):
-    residual, _ = dense_reduce(flatten_map(m), space.part(m.parity))
+    residual, _ = dense_reduce(flatten_map(m), part(space, m.parity))
     return not any(residual)
 
 
 def dense_leq(a, b):
     return all(
-        not any(dense_reduce(row, b.part(par))[0])
+        not any(dense_reduce(row, part(b, par))[0])
         for par in (0, 1)
-        for row in a.part(par).matrix.entries
+        for row in part(a, par).matrix.entries
     )
 
 
@@ -119,7 +118,7 @@ def fresh_zeros(m):
 def outside_unit(alg, space, parity):
     """A unit map at an allowed position of this parity that is not in the
     space, or None when the space holds them all."""
-    for i, j in _allowed_positions(alg, parity):
+    for i, j in allowed_positions(alg, parity):
         u = unit_map(alg.n, parity, i, j)
         if not dense_contains(space, u):
             return u
@@ -145,6 +144,23 @@ def test_bracket_and_contains_match_dense(alg):
                 off = add_maps(br, u)
                 assert not dense_contains(space, off)
                 assert not space.contains(off)
+
+
+def test_contains_refuses_mislabelled_maps():
+    """The span of the stored rows holds every derivation of either degree,
+    so membership also asks that each nonzero of a map be of its labelled
+    degree: an odd derivation labelled even is not in the space, and
+    neither is the sum of an even and an odd one, under either label."""
+    space = derivation_space(get("(2|2)_6").algebra)
+    even, odd = space.maps(0), space.maps(1)
+    assert even and odd
+    for m in odd:
+        relabelled = GradedLinearMap(0, m.matrix)
+        assert space.contains(m)
+        assert not space.contains(relabelled) and not dense_contains(space, relabelled)
+    for label in (0, 1):
+        mixed = GradedLinearMap(label, add_maps(even[0], odd[0]).matrix)
+        assert not space.contains(mixed) and not dense_contains(space, mixed)
 
 
 @pytest.mark.parametrize("alg", CATALOG + [rescaled(a) for a in CATALOG[:8]], ids=lambda a: a.name)
@@ -301,8 +317,7 @@ def test_linalg_results_have_canonical_support(pair):
 @pytest.mark.parametrize("alg", CATALOG[::4] + [rescaled(a) for a in CATALOG[::4]], ids=lambda a: a.name)
 def test_derivation_results_have_canonical_support(alg):
     space = derivation_space(alg)
-    assert_canonical(space.even_part.matrix)
-    assert_canonical(space.odd_part.matrix)
+    assert_canonical(space.basis.matrix)
     maps = space.maps(0) + space.maps(1)
     for d in maps:
         assert_canonical(d.matrix)
