@@ -15,9 +15,10 @@ tests/test_fileformat.py.  Each runs under validate, invariants and
 derivations (text and --json) and bounds.  The file-free commands follow:
 the three `catalog verify` forms, `catalog list`, `catalog show` of every
 entry, `classify` of the six classified st values at six graded dimensions
-and of one unsupported value, and `make` of each family at two sizes, to
-stdout.  The CLI runs in this process, on files written to a temporary
-directory and named relative to it, so no path differs between runs.
+and of one unsupported value, `make` of each family at two sizes, to
+stdout, and the usage errors and help requests of USAGE.  The CLI runs in
+this process, on files written to a temporary directory and named relative
+to it, so no path differs between runs.
 """
 
 import ast
@@ -65,6 +66,21 @@ MAKES = (
     ["abelian", "3", "2"],
 )
 
+# argv that the command line must refuse with exit 1 and an `error:` line,
+# then two requests for help
+USAGE = (
+    [],
+    ["frobnicate"],
+    ["invariants"],
+    ["invariants", "a", "b"],
+    ["invariants", "f", "--jsn"],
+    ["make", "tower", "x"],
+    ["make", "tower", "3", "--out"],
+    ["classify", "--st", "1,1"],
+    ["--help"],
+    ["invariants", "-h"],
+)
+
 
 def file_free_commands() -> list[list[str]]:
     cmds = [["catalog", "verify", *flags] for flags in ([], ["--table1"], ["--classification"])]
@@ -74,7 +90,7 @@ def file_free_commands() -> list[list[str]]:
         cmds += [["classify", "--st", f"{value.even},{value.odd}", "--sdim", sd] for sd in CLASSIFY_SDIMS]
     cmds.append(["classify", "--st", "3,0", "--sdim", "3,3"])
     cmds += [["make", *args] for args in MAKES]
-    return cmds
+    return cmds + list(USAGE)
 
 
 def literal_texts(path: Path) -> list[str]:
@@ -111,7 +127,7 @@ def run(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # how an argparse-based main refused an argv
             code = exc.code
     digest = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
     return f"{code} {digest[0]} {digest[1]}"

@@ -1,5 +1,9 @@
 """Command-line surface.
 
+`COMMANDS` holds each subcommand's handler, positionals, options and usage
+lines; `main` reads argv against it, and `-h` or `--help` anywhere before a
+`--` prints the usage lines of every command.
+
 Exit codes: 0 when everything succeeds or every checked property holds,
 1 for user errors (bad files, bad arguments, unknown names), 2 when a
 verification or bound check fails.
@@ -7,8 +11,11 @@ verification or bound check fails.
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
 
 from . import catalog, fileformat, reports
 from .build import abelian, heisenberg_even, heisenberg_odd, tower
@@ -215,68 +222,173 @@ def _cmd_make(args) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="superstem",
-        description="Exact invariants and bound checks for nilpotent Lie superalgebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler, what its argv may hold, and its usage
+    lines as (syntax, summary) pairs.
 
-    p = sub.add_parser("validate", help="check the bracket laws of an algebra file")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_validate)
+    Each positional is a (name, kind) pair: kind is `str`, `int`, or a
+    mapping from each allowed word to the positionals that follow it.
+    `optional` names one more positional that may be left out. `flags`
+    take no value; `values` take one, as `--x v` or `--x=v`, and those in
+    `required` must be given.
+    """
 
-    p = sub.add_parser("invariants", help="centre, derived, series, class, st")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_invariants)
-
-    p = sub.add_parser("derivations", help="Der, ad, ID, ID* dimensions and checks")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_derivations)
-
-    p = sub.add_parser("bounds", help="Schur-type and ID* bound checks")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_bounds)
-
-    p = sub.add_parser("catalog", help="list, show, or verify the built-in catalog")
-    p.add_argument("action", choices=("list", "show", "verify"))
-    p.add_argument("name", nargs="?")
-    p.add_argument("--table1", action="store_true")
-    p.add_argument("--classification", action="store_true")
-    p.set_defaults(fn=_cmd_catalog)
-
-    p = sub.add_parser("classify", help="algebras with a given st and graded dimension")
-    p.add_argument("--st", required=True, metavar="R,S")
-    p.add_argument("--sdim", required=True, metavar="K,L")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("make", help="write a standard family member as an algebra file")
-    fam = p.add_subparsers(dest="family", required=True)
-    q = fam.add_parser("heisenberg-even")
-    q.add_argument("m", type=int)
-    q.add_argument("n", type=int)
-    q = fam.add_parser("heisenberg-odd")
-    q.add_argument("m", type=int)
-    q = fam.add_parser("tower")
-    q.add_argument("t", type=int)
-    q = fam.add_parser("abelian")
-    q.add_argument("k", type=int)
-    q.add_argument("l", type=int)
-    for q_name in ("heisenberg-even", "heisenberg-odd", "tower", "abelian"):
-        fam.choices[q_name].add_argument("--out")
-        fam.choices[q_name].set_defaults(fn=_cmd_make)
-
-    return parser
+    run: Callable[[SimpleNamespace], int]
+    usage: tuple[tuple[str, str], ...]
+    positionals: tuple = ()
+    optional: str | None = None
+    flags: tuple[str, ...] = ()
+    values: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
 
 
-_PARSER = build_parser()
+COMMANDS = {
+    "validate": Command(
+        _cmd_validate,
+        (("validate FILE", "check the bracket laws of an algebra file"),),
+        (("file", str),),
+    ),
+    "invariants": Command(
+        _cmd_invariants,
+        (("invariants FILE [--json]", "centre, derived, series, class, stem, st"),),
+        (("file", str),),
+        flags=("--json",),
+    ),
+    "derivations": Command(
+        _cmd_derivations,
+        (("derivations FILE [--json]", "Der / ad / ID / ID* dimensions and checks"),),
+        (("file", str),),
+        flags=("--json",),
+    ),
+    "bounds": Command(
+        _cmd_bounds,
+        (("bounds FILE", "both size bound checks, as JSON"),),
+        (("file", str),),
+    ),
+    "catalog": Command(
+        _cmd_catalog,
+        (
+            ("catalog list", "the built-in catalog, one line per entry"),
+            ("catalog show NAME", "print an entry in the file format"),
+            ("catalog verify [--table1] [--classification]", ""),
+        ),
+        (("action", dict.fromkeys(("list", "show", "verify"), ())),),
+        optional="name",
+        flags=("--table1", "--classification"),
+    ),
+    "classify": Command(
+        _cmd_classify,
+        (("classify --st R,S --sdim K,L", ""),),
+        values=("--st", "--sdim"),
+        required=("--st", "--sdim"),
+    ),
+    "make": Command(
+        _cmd_make,
+        (("make heisenberg-even M N | heisenberg-odd M | tower T | abelian K L [--out FILE]", ""),),
+        (("family", {
+            "heisenberg-even": (("m", int), ("n", int)),
+            "heisenberg-odd": (("m", int),),
+            "tower": (("t", int),),
+            "abelian": (("k", int), ("l", int)),
+        }),),
+        values=("--out",),
+    ),
+}
+
+_HELP = ("-h", "--help")
+
+
+def _usage(commands) -> str:
+    lines = (f"superstem {syntax:<25} {summary}".rstrip() for cmd in commands for syntax, summary in cmd.usage)
+    return "".join(line + "\n" for line in lines)
+
+
+class _UsageError(Exception):
+    pass
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(arg: str, cmd: Command) -> bool:
+    """Whether `arg` is read as an option of `cmd`. As in argparse, without
+    its prefix abbreviations, that is a word starting with `-` other than
+    `-` itself and, unless it names an option of `cmd`, other than a
+    negative number or a word with a space: `make tower -3` hands -3 on."""
+    if not arg.startswith("-") or arg == "-":
+        return False
+    if arg.partition("=")[0] in cmd.flags + cmd.values:
+        return True
+    return not (_NEGATIVE_NUMBER.match(arg) or " " in arg)
+
+
+def _parse(cmd: Command, name: str, argv: list[str]) -> SimpleNamespace:
+    """The values the handler of `cmd` reads from the argv after its name;
+    `--` ends the options."""
+    parsed = dict.fromkeys((opt[2:] for opt in cmd.flags), False)
+    parsed.update(dict.fromkeys((opt[2:] for opt in cmd.values), None))
+    words = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            words += rest
+        elif not _is_option(arg, cmd):
+            words.append(arg)
+        else:
+            opt, eq, value = arg.partition("=")
+            if opt in cmd.flags and not eq:
+                value = True
+            elif opt in cmd.values and not eq:
+                value = next(rest, None)
+                if value is None or value == "--" or _is_option(value, cmd):
+                    raise _UsageError(f"{opt} needs a value")
+            elif opt not in cmd.values:
+                raise _UsageError(f"{opt} takes no value" if opt in cmd.flags else f"unknown option {arg}")
+            parsed[opt[2:]] = value
+    words = iter(words)
+    pending = list(cmd.positionals)
+    while pending:
+        dest, kind = pending.pop(0)
+        word = next(words, None)
+        if word is None:
+            raise _UsageError(f"{name} needs {dest.upper()}")
+        if kind is int:
+            try:
+                word = int(word)
+            except ValueError:
+                raise _UsageError(f"{dest.upper()} must be an integer, not {word!r}") from None
+        elif kind is not str:
+            if word not in kind:
+                raise _UsageError(f"{dest.upper()} must be one of {', '.join(kind)}, not {word!r}")
+            pending[:0] = kind[word]
+        parsed[dest] = word
+    if cmd.optional:
+        parsed[cmd.optional] = next(words, None)
+    extra = next(words, None)
+    if extra is not None:
+        raise _UsageError(f"unexpected argument {extra!r}")
+    for opt in cmd.required:
+        if parsed[opt[2:]] is None:
+            raise _UsageError(f"{name} needs {opt}")
+    return SimpleNamespace(**parsed)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
-    return args.fn(args)
+    argv = sys.argv[1:] if argv is None else argv
+    if any(arg in _HELP for arg in argv[: argv.index("--") if "--" in argv else None]):
+        print(_usage(COMMANDS.values()), end="")
+        return OK
+    cmd = COMMANDS.get(argv[0]) if argv else None
+    try:
+        if cmd is None:
+            raise _UsageError(f"unknown command {argv[0]!r}" if argv else "no command given")
+        args = _parse(cmd, argv[0], argv[1:])
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(_usage((cmd,) if cmd else COMMANDS.values()), end="", file=sys.stderr)
+        return USER_ERROR
+    return cmd.run(args)
 
 
 if __name__ == "__main__":

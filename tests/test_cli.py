@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-import superstem.cli
 from superstem.cli import main
 from superstem.fileformat import parse
 
@@ -76,14 +75,27 @@ def test_coefficient_past_the_digit_limit_is_user_error(tmp_path, capsys, form):
     assert "line 4" in err and digits[:100] not in err
 
 
-def test_main_reuses_one_parser(monkeypatch, good_file, capsys):
-    def refuse():
-        raise AssertionError("parser built per call")
+@pytest.mark.parametrize("argv", (
+    [],
+    ["frobnicate"],
+    ["invariants"],
+    ["invariants", "a", "b"],
+    ["invariants", "f", "--jsn"],
+    ["make", "tower", "x"],
+    ["make", "tower", "3", "--out"],
+    ["classify", "--st", "1,1"],
+))
+def test_usage_error_is_user_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
 
-    monkeypatch.setattr(superstem.cli, "build_parser", refuse)
-    assert main(["validate", good_file]) == 0
-    assert main(["catalog", "list"]) == 0
-    assert main(["classify", "--st", "1", "--sdim", "3,3"]) == 1
+
+@pytest.mark.parametrize("argv", (["--help"], ["invariants", "-h"]))
+def test_help_prints_usage(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("superstem validate FILE")
 
 
 def test_syntax_error_is_user_error(tmp_path, capsys):

@@ -5,7 +5,10 @@ against sympy's `DomainMatrix` over QQ, which shares no code with
 superstem, on hypothesis matrices and on the Der system (`_law_rows`, one
 n^2-wide system for both degrees) of each catalog entry.  Der, ID, ID* and ad are then checked against spaces
 that sympy solves from their definitions, read off the dense structure
-tensor without `_law_rows` or `inner_derivations`.
+tensor without `_law_rows` or `inner_derivations`, on the catalog, on
+random nilpotent superalgebras and on the rescaled and sheared copies of
+the non-stem examples, where the stacked reference of test_single_pass
+shares `_law_rows` with the code it checks.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from superstem.derivations import _law_rows, derivation_space, id_star, inner_de
 from superstem.invariants import center, derived_subalgebra
 from superstem.linalg import intersect_spaces, kernel_basis, mat_mul, matrix, rref, sparse_matrix
 from test_central_extensions import nilpotent_superalgebras
+from test_single_pass import non_stem_examples, rescaled, sheared
 
 QQ = pytest.importorskip("sympy").QQ
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -200,4 +204,10 @@ def test_derivation_spaces_match_sympy(entry):
 @settings(max_examples=30, deadline=None)
 @given(nilpotent_superalgebras())
 def test_derivation_spaces_of_random_nilpotent_superalgebras_match_sympy(alg):
+    check_derivation_spaces(alg)
+
+
+@pytest.mark.parametrize("alg", [copy(alg) for alg in non_stem_examples() for copy in (rescaled, sheared)],
+                         ids=lambda a: a.name)
+def test_derivation_spaces_on_rescaled_and_sheared_bases_match_sympy(alg):
     check_derivation_spaces(alg)

@@ -330,6 +330,22 @@ def test_no_import_inside_a_function():
     assert offences == []
 
 
+def test_no_module_imports_argparse():
+    """The command line reads argv against its own command table."""
+    offences = []
+    for path in sorted(Path(superstem.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "argparse" in names:
+                offences.append(f"{path.name}:{node.lineno} imports argparse")
+    assert offences == []
+
+
 def test_only_linalg_divides_or_builds_fractions():
     """Scalars are ints when integral and Fractions only for true rationals,
     which linalg alone makes (through frac and its exact division); `/` on
