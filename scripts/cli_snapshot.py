@@ -67,7 +67,8 @@ MAKES = (
 )
 
 # argv that the command line must refuse with exit 1 and an `error:` line,
-# then two requests for help
+# then two requests for help, then a NAME after `catalog verify` and after
+# `catalog list`, which only `show` reads, and `catalog show` without one
 USAGE = (
     [],
     ["frobnicate"],
@@ -79,6 +80,9 @@ USAGE = (
     ["classify", "--st", "1,1"],
     ["--help"],
     ["invariants", "-h"],
+    ["catalog", "verify", "table1"],
+    ["catalog", "list", "x"],
+    ["catalog", "show"],
 )
 
 

@@ -134,9 +134,6 @@ def _cmd_catalog(args) -> int:
             print(f"{name}  sdim {entry.algebra.sdim}")
         return OK
     if args.action == "show":
-        if not args.name:
-            print("error: catalog show needs a NAME", file=sys.stderr)
-            return USER_ERROR
         try:
             entry = catalog.get(args.name)
         except catalog.UnknownEntryError:
@@ -229,15 +226,13 @@ class Command:
 
     Each positional is a (name, kind) pair: kind is `str`, `int`, or a
     mapping from each allowed word to the positionals that follow it.
-    `optional` names one more positional that may be left out. `flags`
-    take no value; `values` take one, as `--x v` or `--x=v`, and those in
-    `required` must be given.
+    `flags` take no value; `values` take one, as `--x v` or `--x=v`, and
+    those in `required` must be given.
     """
 
     run: Callable[[SimpleNamespace], int]
     usage: tuple[tuple[str, str], ...]
     positionals: tuple = ()
-    optional: str | None = None
     flags: tuple[str, ...] = ()
     values: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
@@ -273,8 +268,7 @@ COMMANDS = {
             ("catalog show NAME", "print an entry in the file format"),
             ("catalog verify [--table1] [--classification]", ""),
         ),
-        (("action", dict.fromkeys(("list", "show", "verify"), ())),),
-        optional="name",
+        (("action", {"list": (), "show": (("name", str),), "verify": ()}),),
         flags=("--table1", "--classification"),
     ),
     "classify": Command(
@@ -363,8 +357,6 @@ def _parse(cmd: Command, name: str, argv: list[str]) -> SimpleNamespace:
                 raise _UsageError(f"{dest.upper()} must be one of {', '.join(kind)}, not {word!r}")
             pending[:0] = kind[word]
         parsed[dest] = word
-    if cmd.optional:
-        parsed[cmd.optional] = next(words, None)
     extra = next(words, None)
     if extra is not None:
         raise _UsageError(f"unexpected argument {extra!r}")

@@ -129,6 +129,11 @@ class LieSuperalgebra:
         """Each nonzero [b_i, b_j] as (i, j, basis_bracket(i, j)), in (i, j) order, none mirrored."""
         return tuple((i, j, s) for i, plane in enumerate(self._support) for j, s in enumerate(plane) if s)
 
+    @cached_property
+    def _grading_error(self) -> str | None:
+        # the first bracket that breaks the grading, found once per algebra
+        return next((v.detail for v in grading_violations(self)), None)
+
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Bilinear extension of the structure tensor to coordinate vectors."""
         n = self.n
@@ -241,10 +246,11 @@ def check_grading(alg: LieSuperalgebra) -> None:
     """Raise GradingError naming the first bracket that breaks the grading.
 
     The solvers read the parities of the basis and trust them: on a table
-    that is not graded they would give wrong answers with no error.
+    that is not graded they would give wrong answers with no error.  The
+    brackets are walked on the first call for an algebra only.
     """
-    for v in grading_violations(alg):
-        raise GradingError(f"{alg.name}: {v.detail}")
+    if alg._grading_error is not None:
+        raise GradingError(f"{alg.name}: {alg._grading_error}")
 
 
 def validate(alg: LieSuperalgebra) -> ValidationReport:

@@ -1,6 +1,13 @@
 """Structural invariants: derived subalgebra, centre, central series, stem
 decompositions, minimal generator pairs, and the size invariants built from
-them."""
+them.
+
+The solvers trust the parities of the basis.  `derived_subalgebra`, `center`
+and `upper_central_series` check that the table is graded
+(core.check_grading), and every other function here calls one of them
+before it solves anything, so a table that is not graded raises GradingError
+first.
+"""
 
 from __future__ import annotations
 
@@ -33,6 +40,7 @@ class StemDecompositionError(RuntimeError):
 
 def derived_subalgebra(alg: LieSuperalgebra) -> GradedSubspace:
     """The span of all brackets, [L, L]."""
+    check_grading(alg)
     return sparse_span(alg, (support for i, j, support in alg.nonzero_brackets if i <= j))
 
 
@@ -53,6 +61,7 @@ def _central_step(alg: LieSuperalgebra, z: GradedSubspace) -> GradedSubspace:
 
 def center(alg: LieSuperalgebra) -> GradedSubspace:
     """Z(L) = {x : [x, L] = 0}, the central step taken from the zero subspace."""
+    check_grading(alg)
     return _central_step(alg, zero_subspace(alg))
 
 
@@ -63,6 +72,7 @@ def upper_central_series(alg: LieSuperalgebra) -> tuple[GradedSubspace, ...]:
     constraint rows are the residues of the brackets [b_i, b_j] modulo Z_i,
     so no quotient algebra is built.
     """
+    check_grading(alg)
     chain: list[GradedSubspace] = []
     z = zero_subspace(alg)
     while z.sdim != alg.sdim:
@@ -259,7 +269,6 @@ def invariant_report(alg: LieSuperalgebra) -> InvariantReport:
     Fields depending on nilpotency are None when the series stalls.  A table
     that is not graded raises GradingError first.
     """
-    check_grading(alg)
     derived = derived_subalgebra(alg)
     series = upper_central_series(alg)
     cent = series[0] if series else zero_subspace(alg)

@@ -1,148 +1,61 @@
 """JSON views of report objects.
 
-Keys are emitted in a fixed order and graded dimensions as [even, odd]
-pairs, so byte-identical inputs give byte-identical output.  No report
-carries a rational, so every value is a plain JSON type.
+`KEYS` is the schema: for each report type, and for each part a report
+nests, its JSON keys in output order.  A key is also the attribute it
+reads, unless it is given as a (key, attribute) pair.  One recursive view
+turns a report into plain JSON values: a type in `KEYS` becomes an object,
+a tuple a list and a SuperDim an [even, odd] pair, so byte-identical
+inputs give byte-identical output.  No report carries a rational, so every
+other value is a plain JSON type already.
 """
 
 from __future__ import annotations
 
 import json
 
-from .catalog import ClassificationReport, Table1Report
-from .core import SuperDim, ValidationReport
+from .catalog import ClassificationCheck, ClassificationReport, Table1Report, TableRowCheck
+from .core import LawViolation, SuperDim, ValidationReport
 from .derivations import DerivationReport, IdStarBoundReport
-from .invariants import InvariantReport, PropositionAuditReport, SchurBoundReport
+from .invariants import InvariantReport, LadderRung, PropositionAuditReport, SchurBoundReport
 
-
-def _sd(x: SuperDim | None):
-    return None if x is None else [x.even, x.odd]
-
-
-def invariant_dict(rep: InvariantReport) -> dict:
-    return {
-        "name": rep.name,
-        "sdim": _sd(rep.sdim),
-        "sdim_derived": _sd(rep.sdim_derived),
-        "sdim_center": _sd(rep.sdim_center),
-        "central_series": [_sd(z) for z in rep.central_series],
-        "nilpotency_class": rep.nilpotency_class,
-        "is_stem": rep.is_stem,
-        "generator_pair": _sd(rep.generator_pair),
-        "lambda": _sd(rep.lam),
-        "st": _sd(rep.st),
-        "t": rep.t,
-    }
-
-
-def validation_dict(rep: ValidationReport) -> dict:
-    return {
-        "grading_ok": rep.grading_ok,
-        "skew_ok": rep.skew_ok,
-        "jacobi_ok": rep.jacobi_ok,
-        "ok": rep.ok,
-        "violations": [
-            {"law": v.law, "indices": list(v.indices), "detail": v.detail}
-            for v in rep.violations
-        ],
-    }
-
-
-def schur_dict(rep: SchurBoundReport) -> dict:
-    return {
-        "name": rep.name,
-        "sdim_central_quotient": _sd(rep.sdim_central_quotient),
-        "generator_pair": _sd(rep.generator_pair),
-        "lambda": _sd(rep.lam),
-        "schur_bound_holds": rep.holds,
-    }
-
-
-def idstar_dict(rep: IdStarBoundReport) -> dict:
-    return {
-        "name": rep.name,
-        "sdim_id_star": _sd(rep.sdim_id_star),
-        "generator_pair": _sd(rep.generator_pair),
-        "lambda": _sd(rep.lam),
-        "idstar_bound_holds": rep.holds,
-    }
-
-
-def derivation_dict(rep: DerivationReport) -> dict:
-    return {
-        "name": rep.name,
-        "sdim_der": _sd(rep.sdim_der),
-        "sdim_inner": _sd(rep.sdim_inner),
-        "sdim_id": _sd(rep.sdim_id),
-        "sdim_id_star": _sd(rep.sdim_id_star),
-        "chain_ok": rep.chain_ok,
-        "bound": None if rep.bound is None else idstar_dict(rep.bound),
-    }
-
-
-def proposition_dict(rep: PropositionAuditReport) -> dict:
-    return {
-        "name": rep.name,
-        "derived_total": rep.derived_total,
-        "t": rep.t,
-        "rungs": [
-            {
-                "derived_at_least": r.derived_at_least,
-                "t_at_least": r.t_at_least,
-                "applies": r.applies,
-                "holds": r.holds,
-            }
-            for r in rep.rungs
-        ],
-        "ok": rep.ok,
-    }
-
-
-def table1_dict(rep: Table1Report) -> dict:
-    return {
-        "rows": [
-            {
-                "name": r.name,
-                "stored": [_sd(x) for x in r.stored],
-                "computed": [_sd(x) for x in r.computed],
-                "ok": r.ok,
-            }
-            for r in rep.rows
-        ],
-        "ok": rep.ok,
-    }
-
-
-def classification_dict(rep: ClassificationReport) -> dict:
-    return {
-        "checks": [
-            {
-                "description": c.description,
-                "expected_st": _sd(c.expected_st),
-                "computed_st": _sd(c.computed_st),
-                "ok": c.ok,
-            }
-            for c in rep.checks
-        ],
-        "ok": rep.ok,
-    }
-
-
-_DISPATCH = {
-    InvariantReport: invariant_dict,
-    ValidationReport: validation_dict,
-    SchurBoundReport: schur_dict,
-    IdStarBoundReport: idstar_dict,
-    DerivationReport: derivation_dict,
-    PropositionAuditReport: proposition_dict,
-    Table1Report: table1_dict,
-    ClassificationReport: classification_dict,
+KEYS = {
+    InvariantReport: ("name", "sdim", "sdim_derived", "sdim_center", "central_series",
+                      "nilpotency_class", "is_stem", "generator_pair", ("lambda", "lam"), "st", "t"),
+    ValidationReport: ("grading_ok", "skew_ok", "jacobi_ok", "ok", "violations"),
+    SchurBoundReport: ("name", "sdim_central_quotient", "generator_pair", ("lambda", "lam"),
+                       ("schur_bound_holds", "holds")),
+    IdStarBoundReport: ("name", "sdim_id_star", "generator_pair", ("lambda", "lam"),
+                        ("idstar_bound_holds", "holds")),
+    DerivationReport: ("name", "sdim_der", "sdim_inner", "sdim_id", "sdim_id_star", "chain_ok", "bound"),
+    PropositionAuditReport: ("name", "derived_total", "t", "rungs", "ok"),
+    Table1Report: ("rows", "ok"),
+    ClassificationReport: ("checks", "ok"),
+    LawViolation: ("law", "indices", "detail"),
+    LadderRung: ("derived_at_least", "t_at_least", "applies", "holds"),
+    TableRowCheck: ("name", "stored", "computed", "ok"),
+    ClassificationCheck: ("description", "expected_st", "computed_st", "ok"),
 }
+
+# the parts a report nests have a view but are not reports of their own
+PARTS = frozenset((LawViolation, LadderRung, TableRowCheck, ClassificationCheck))
+
+_FIELDS = {kind: tuple((k, k) if isinstance(k, str) else k for k in keys) for kind, keys in KEYS.items()}
+
+
+def view(value):
+    """The JSON value of a report, a part of one, or a value a part holds."""
+    if isinstance(value, SuperDim):
+        return [value.even, value.odd]
+    if isinstance(value, tuple):
+        return [view(v) for v in value]
+    fields = _FIELDS.get(type(value))
+    if fields is None:
+        return value
+    return {key: view(getattr(value, attr)) for key, attr in fields}
 
 
 def emit_report(report) -> str:
     """Render any report object as stable, indented JSON text."""
-    fn = _DISPATCH.get(type(report))
-    if fn is None:
+    if type(report) not in KEYS or type(report) in PARTS:
         raise TypeError(f"no JSON view for {type(report).__name__}")
-    return json.dumps(fn(report), indent=2) + "\n"
+    return json.dumps(view(report), indent=2) + "\n"

@@ -200,6 +200,16 @@ def test_catalog_show_without_name(capsys):
     assert "NAME" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (["catalog", "verify", "table1"], ["catalog", "list", "x"]))
+def test_catalog_list_and_verify_take_no_name(argv, capsys):
+    """Only `show` reads a NAME; a word after `list` or `verify` (say,
+    `table1` with its dashes forgotten) is refused, not ignored."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unexpected argument")
+    assert captured.out == ""
+
+
 def test_catalog_verify_table1(capsys):
     assert main(["catalog", "verify", "--table1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

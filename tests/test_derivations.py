@@ -27,11 +27,17 @@ from superstem.derivations import (
 from superstem.invariants import (
     center,
     derived_subalgebra,
+    generator_pair,
     invariant_report,
+    is_nilpotent,
+    is_stem,
+    nilpotency_class,
     proposition_audit,
     schur_bound_check,
     st,
+    stem_decomposition,
     t_scalar,
+    upper_central_series,
 )
 from superstem.linalg import frac, matrix
 
@@ -220,7 +226,8 @@ def mis_graded():
 
 MIS_GRADED_READERS = (derivation_space, inner_derivations, id_star, derivation_report,
                       idstar_bound_check, invariant_report, st, t_scalar, schur_bound_check,
-                      proposition_audit)
+                      proposition_audit, derived_subalgebra, center, upper_central_series,
+                      is_nilpotent, nilpotency_class, is_stem, generator_pair, stem_decomposition)
 
 
 @pytest.mark.parametrize("fn", MIS_GRADED_READERS, ids=lambda fn: fn.__name__)
@@ -229,6 +236,15 @@ def test_mis_graded_table_raises_grading_error(fn):
     graded is refused before any solve, naming its first bad bracket."""
     with pytest.raises(GradingError, match=r"\[x1, x2\] hits y of the wrong parity"):
         fn(mis_graded())
+
+
+def test_center_of_a_mis_graded_table_raises():
+    """[y, z] = w sends an odd and an even vector to an even one.  Unchecked,
+    the centre came out as the row x - y, which mixes the two parities, with
+    sdim (2|0)."""
+    alg = algebra_from_relations("mixed2", ("x", "z", "w"), ("y",), [(0, 1, {2: 1}), (3, 1, {2: 1})])
+    with pytest.raises(GradingError, match=r"\[z, y\] hits w of the wrong parity"):
+        center(alg)
 
 
 def test_grading_check_and_validate_share_one_law():

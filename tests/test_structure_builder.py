@@ -31,10 +31,12 @@ from superstem.build import (
 )
 from superstem.catalog import entries
 from superstem.core import (
+    GradingError,
     LieSuperalgebra,
     MixedParityError,
     SuperDim,
     from_brackets,
+    sparse_span,
     subspace_intersect,
     subspace_sum,
     validate,
@@ -196,13 +198,17 @@ def test_stem_decomposition_matches_dense(alg):
 
 
 def test_derived_subalgebra_rejects_mixed_brackets():
-    # [x1, x2] = x3 + y breaks the grading: the bracket has both parities
+    # [x1, x2] = x3 + y breaks the grading: the bracket has both parities.
+    # The table is refused before any span is built; the span itself would
+    # refuse the mixed bracket too.
     alg = algebra_from_relations("mixed", ("x1", "x2", "x3"), ("y",), [(0, 1, {2: 1, 3: 1})])
     assert not validate(alg).grading_ok
-    with pytest.raises(MixedParityError):
+    with pytest.raises(GradingError, match=r"\[x1, x2\] hits y of the wrong parity"):
         derived_subalgebra(alg)
-    with pytest.raises(MixedParityError):
+    with pytest.raises(GradingError, match=r"\[x1, x2\] hits y of the wrong parity"):
         stem_decomposition(alg)
+    with pytest.raises(MixedParityError):
+        sparse_span(alg, [alg.basis_bracket(0, 1)])
 
 
 def test_builders_copy_brackets_exactly():
