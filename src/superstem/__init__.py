@@ -4,14 +4,12 @@ decompositions, superderivation spaces, and the Schur-type bound checks and
 classification queries built on them."""
 
 from .build import (
-    NotIdealError,
     StructureConflictError,
     abelian,
     algebra_from_relations,
     direct_sum,
     heisenberg_even,
     heisenberg_odd,
-    quotient,
     tower,
 )
 from .catalog import (
@@ -73,7 +71,6 @@ __all__ = [
     "InvariantReport",
     "LieSuperalgebra",
     "MixedParityError",
-    "NotIdealError",
     "NotNilpotentError",
     "StructureConflictError",
     "SuperDim",
@@ -104,7 +101,6 @@ __all__ = [
     "nilpotency_class",
     "parse",
     "proposition_audit",
-    "quotient",
     "schur_bound_check",
     "st",
     "stem_decomposition",

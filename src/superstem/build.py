@@ -1,12 +1,11 @@
-"""Constructors: relation lists, standard families, direct sums, quotients."""
+"""Constructors: relation lists, standard families and direct sums."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import MAX_BASIS, GradedSubspace, LieSuperalgebra, from_brackets, sparse_bracket
-from .linalg import ONE, ZERO, Scalar, frac, nonzeros, reduce_mod
+from .core import MAX_BASIS, LieSuperalgebra, from_brackets
+from .linalg import ONE, Scalar, frac
 
 
 class StructureConflictError(ValueError):
@@ -22,10 +21,6 @@ class StructureConflictError(ValueError):
         super().__init__(message)
         self.relation = relation
         self.earlier = earlier
-
-
-class NotIdealError(ValueError):
-    """The subspace handed to quotient() is not an ideal."""
 
 
 Relation = tuple[int, int, Mapping[int, Scalar]]
@@ -169,53 +164,3 @@ def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra) -> LieSuperalgebra:
     }
     return from_brackets(
         f"{a.name}+{b.name}", a.even_names + tuple(b_even), a.odd_names + tuple(b_odd), brackets)
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """Projection onto L/I and the section that lifts cosets back into L.
-
-    The coordinates kept in the quotient are the non-pivot columns of the
-    ideal's echelon basis, in increasing order, so lift(project(v)) differs
-    from v by an element of I and project(lift(w)) == w.
-    """
-
-    ideal: GradedSubspace
-    kept: tuple[int, ...]
-
-    def project(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        residue = reduce_mod(nonzeros([frac(x) for x in v]), self.ideal.basis)
-        return tuple(residue.get(i, ZERO) for i in self.kept)
-
-    def lift(self, w: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        out = [ZERO] * self.ideal.basis.width
-        for pos, x in zip(self.kept, w):
-            out[pos] = frac(x)
-        return tuple(out)
-
-
-def quotient(alg: LieSuperalgebra, ideal: GradedSubspace) -> tuple[LieSuperalgebra, QuotientMap]:
-    """Quotient superalgebra L/I together with its projection map."""
-    r, basis = alg.sdim.even, ideal.basis
-    if basis.width != alg.n or ideal.even_width != r:
-        raise ValueError("ideal widths do not match the algebra")
-    for row in basis.matrix.support:
-        for i in range(alg.n):
-            if reduce_mod(sparse_bracket(alg, ((i, ONE),), row).items(), basis):
-                raise NotIdealError(
-                    f"[{alg.basis_names[i]}, -] leaves the subspace")
-
-    pivots = set(basis.pivot_cols)
-    kept = tuple(i for i in range(alg.n) if i not in pivots)
-    # brackets of the kept basis vectors, reduced modulo the ideal; the
-    # residues live on the kept coordinates alone
-    new = {k: t for t, k in enumerate(kept)}
-    brackets = {
-        (new[i], new[j]): [(new[k], c) for k, c in reduce_mod(support, basis).items()]
-        for i, j, support in alg.nonzero_brackets
-        if i in new and j in new
-    }
-    names = alg.basis_names
-    q_even_names = tuple(names[i] for i in kept if i < r)
-    q_odd_names = tuple(names[i] for i in kept if i >= r)
-    return from_brackets(f"{alg.name}/~", q_even_names, q_odd_names, brackets), QuotientMap(ideal, kept)

@@ -356,15 +356,24 @@ def graded_span(alg: LieSuperalgebra, vectors: Iterable[Sequence[Scalar]]) -> Gr
     return sparse_span(alg, rows)
 
 
+def _same_ambient(a: GradedSubspace, b: GradedSubspace) -> None:
+    if (a.basis.width, a.even_width) != (b.basis.width, b.even_width):
+        raise ValueError("subspaces of different algebras")
+
+
 def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+    _same_ambient(a, b)
     return GradedSubspace(sum_spaces(a.basis, b.basis), a.even_width)
 
 
 def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+    _same_ambient(a, b)
     return GradedSubspace(intersect_spaces(a.basis, b.basis), a.even_width)
 
 
 def subspace_contains(alg: LieSuperalgebra, space: GradedSubspace, v: Sequence[Scalar]) -> bool:
+    if (space.basis.width, space.even_width) != (alg.n, alg.sdim.even):
+        raise ValueError("subspace of a different algebra")
     if len(v) != alg.n:
         raise ValueError("coordinate vectors must have full length")
     return not reduce_mod(nonzeros([frac(x) for x in v]), space.basis)
@@ -372,4 +381,5 @@ def subspace_contains(alg: LieSuperalgebra, space: GradedSubspace, v: Sequence[S
 
 def subspace_leq(a: GradedSubspace, b: GradedSubspace) -> bool:
     """Whether a is contained in b."""
+    _same_ambient(a, b)
     return all(not reduce_mod(row, b.basis) for row in a.basis.matrix.support)

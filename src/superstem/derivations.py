@@ -106,8 +106,8 @@ class DerivationSpace:
         return not reduce_mod(((i * n + j, x) for i, row in enumerate(support) for j, x in row), self.basis)
 
     def leq(self, other: "DerivationSpace") -> bool:
-        if self.n != other.n:
-            raise ValueError("ambient widths differ")
+        if (self.n, self.even_width) != (other.n, other.even_width):
+            raise ValueError("derivation spaces of different algebras")
         return all(not reduce_mod(row, other.basis) for row in self.basis.matrix.support)
 
 

@@ -85,23 +85,17 @@ def upper_central_series(alg: LieSuperalgebra) -> tuple[GradedSubspace, ...]:
 
 
 def is_nilpotent(alg: LieSuperalgebra) -> bool:
-    series = upper_central_series(alg)
-    return (series[-1].sdim if series else SuperDim(0, 0)) == alg.sdim
+    return invariant_report(alg).nilpotency_class is not None
 
 
 def nilpotency_class(alg: LieSuperalgebra) -> int:
     """Least k with Z_k(L) = L; raises NotNilpotentError if there is none."""
-    if alg.n == 0:
-        return 0
-    series = upper_central_series(alg)
-    if not series or series[-1].sdim != alg.sdim:
-        raise NotNilpotentError(f"{alg.name} is not nilpotent")
-    return len(series)
+    return _nilpotent_report(alg).nilpotency_class
 
 
 def is_stem(alg: LieSuperalgebra) -> bool:
     """Whether Z(L) is contained in the derived subalgebra."""
-    return subspace_leq(center(alg), derived_subalgebra(alg))
+    return invariant_report(alg).is_stem
 
 
 def generator_pair(alg: LieSuperalgebra) -> SuperDim:
@@ -110,9 +104,8 @@ def generator_pair(alg: LieSuperalgebra) -> SuperDim:
     For nilpotent L this is sdim L - sdim [L, L], the graded dimension of
     L / [L, L].
     """
-    if not is_nilpotent(alg):
-        raise NotNilpotentError(f"{alg.name} is not nilpotent")
-    return alg.sdim - derived_subalgebra(alg).sdim
+    rep = _nilpotent_report(alg)
+    return rep.sdim - rep.sdim_derived
 
 
 def lambda_pair(k: SuperDim, p: int, q: int) -> SuperDim:

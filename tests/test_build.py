@@ -1,22 +1,18 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as strat
 
 from superstem.build import (
-    NotIdealError,
     StructureConflictError,
     abelian,
     algebra_from_relations,
     direct_sum,
     heisenberg_even,
     heisenberg_odd,
-    quotient,
     tower,
 )
-from superstem.catalog import classify_by_st, get, names
-from superstem.core import SuperDim, graded_span, subspace_contains, validate, zero_subspace
+from superstem.catalog import classify_by_st, get
+from superstem.core import SuperDim, graded_span, subspace_contains, validate
 from superstem.invariants import center, derived_subalgebra
 from superstem.linalg import frac, matrix
 
@@ -167,27 +163,11 @@ def test_target_index_out_of_range_is_rejected(k):
         algebra_from_relations("x", ("e1", "e2"), (), [(0, 1, {k: 1})])
 
 
-def test_quotient_of_top_grade_is_heisenberg():
-    alg = get("(4|0)_2").algebra
-    ideal = graded_span(alg, [alg.basis_vector(3)])
-    q, qmap = quotient(alg, ideal)
-    h = heisenberg_even(1, 0)
-    assert q.tensor == h.tensor
-    assert q.even_names == ("e1", "e2", "e3")
-    # projection and section fit together
-    w = (frac(1), frac(2), frac(3))
-    assert qmap.project(qmap.lift(w)) == w
-    v = (frac(1), frac(0), frac(2), frac(5))
-    diff = tuple(x - y for x, y in zip(v, qmap.lift(qmap.project(v))))
-    assert subspace_contains(alg, ideal, diff)
-
-
 def test_floats_are_refused_at_every_entry_point():
     """A float is a binary fraction (0.1 is 3602879701896397/2**55), so no
     entry point turns one into a rational; 0.5 is refused like any other."""
     alg = get("(4|0)_2").algebra
     ideal = graded_span(alg, [alg.basis_vector(3)])
-    _, qmap = quotient(alg, ideal)
     with pytest.raises(TypeError):
         frac(0.1)
     with pytest.raises(TypeError):
@@ -198,28 +178,4 @@ def test_floats_are_refused_at_every_entry_point():
         graded_span(alg, [(0, 0, 0, 0.5)])
     with pytest.raises(TypeError):
         subspace_contains(alg, ideal, (0, 0, 0, 0.5))
-    with pytest.raises(TypeError):
-        qmap.project((0.5, 0, 0, 0))
-    with pytest.raises(TypeError):
-        qmap.lift((0.5, 0, 0))
 
-
-def test_quotient_rejects_non_ideals():
-    alg = get("(4|0)_2").algebra
-    not_ideal = graded_span(alg, [alg.basis_vector(0)])
-    with pytest.raises(NotIdealError):
-        quotient(alg, not_ideal)
-
-
-def test_quotient_by_zero_is_identity_on_tensors():
-    alg = get("(2|3)_18").algebra
-    q, _ = quotient(alg, zero_subspace(alg))
-    assert q.tensor == alg.tensor
-
-
-@settings(max_examples=25, deadline=None)
-@given(strat.sampled_from(names()))
-def test_quotient_by_center_is_valid(name):
-    alg = get(name).algebra
-    q, _ = quotient(alg, center(alg))
-    assert validate(q).ok

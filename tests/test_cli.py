@@ -9,6 +9,7 @@ from superstem.fileformat import parse
 GOOD = 'algebra "h"\neven: x1 x2 z\nodd:\n[x1, x2] = z\n'
 LAWLESS = 'algebra "bad"\neven: e1 e2 e3\nodd:\n[e1, e2] = e3\n[e2, e3] = e1\n[e3, e1] = e3\n'
 SOLVABLE = 'algebra "s"\neven: e1 e2\nodd:\n[e1, e2] = e2\n'
+EMPTY = 'algebra "A(0|0)"\neven:\nodd:\n'
 
 
 @pytest.fixture
@@ -37,6 +38,13 @@ def test_validate_lawless_exits_two(lawless_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
     assert data["violations"]
+
+
+@pytest.mark.parametrize("command", ("validate", "invariants", "derivations", "bounds"))
+def test_empty_algebra_exits_zero(tmp_path, command):
+    path = tmp_path / "empty.alg"
+    path.write_text(EMPTY, encoding="utf-8")
+    assert main([command, str(path)]) == 0
 
 
 def test_missing_file_is_user_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from superstem.build import algebra_from_relations, heisenberg_even
+from superstem.build import algebra_from_relations, heisenberg_even, heisenberg_odd
 from superstem.catalog import get
 from superstem.core import (
     MAX_BASIS,
@@ -11,9 +11,13 @@ from superstem.core import (
     from_brackets,
     graded_span,
     subspace_contains,
+    subspace_intersect,
+    subspace_leq,
+    subspace_sum,
     validate,
     vector_parity,
 )
+from superstem.invariants import center, derived_subalgebra
 from superstem.linalg import ONE, ZERO, frac
 
 rationals = strat.fractions(max_denominator=4).map(frac)
@@ -170,6 +174,24 @@ def test_graded_span_and_containment():
     assert space.sdim == SuperDim(1, 1)
     assert subspace_contains(alg, space, tuple(2 * a + 3 * b for a, b in zip(z, y)))
     assert not subspace_contains(alg, space, alg.basis_vector(0))
+
+
+# H(1,0) and H_1 both have n = 3, with even widths 3 and 1; H(1,1) has n = 4
+H10, H_1, H11 = heisenberg_even(1, 0), heisenberg_odd(1), heisenberg_even(1, 1)
+
+
+@pytest.mark.parametrize("op", (subspace_sum, subspace_intersect, subspace_leq), ids=lambda op: op.__name__)
+def test_subspace_operations_refuse_two_algebras(op):
+    for other in (H_1, H11):
+        with pytest.raises(ValueError, match="different algebras"):
+            op(center(H10), derived_subalgebra(other))
+
+
+def test_subspace_contains_refuses_a_subspace_of_another_algebra():
+    # z is even in H(1,0) and odd in H_1, at index 2 in both
+    for other in (H_1, H11):
+        with pytest.raises(ValueError, match="different algebra"):
+            subspace_contains(H10, center(other), H10.basis_vector(2))
 
 
 def test_graded_span_rejects_mixed_vectors():

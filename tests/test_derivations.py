@@ -67,13 +67,20 @@ def test_solved_derivations_satisfy_the_law(name):
 
 
 def test_abelian_derivation_dimensions():
-    for k, l in ((1, 0), (2, 1), (1, 3)):
+    for k, l in ((0, 0), (1, 0), (2, 1), (1, 3)):
         rep = derivation_report(abelian(k, l))
         assert rep.sdim_der == SuperDim(k * k + l * l, 2 * k * l)
         assert rep.sdim_inner == SuperDim(0, 0)
         assert rep.sdim_id == SuperDim(0, 0)
         assert rep.sdim_id_star == SuperDim(0, 0)
         assert rep.chain_ok
+
+
+def test_derivation_spaces_of_two_algebras_do_not_compare():
+    # H(1,0) and H_1 both have n = 3; their even widths are 3 and 1
+    a, b = derivation_space(heisenberg_even(1, 0)), derivation_space(heisenberg_odd(1))
+    with pytest.raises(ValueError, match="different algebras"):
+        a.leq(b)
 
 
 def test_even_heisenberg_derivation_dimensions():

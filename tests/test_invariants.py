@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from superstem.build import abelian, algebra_from_relations, direct_sum, heisenberg_even, heisenberg_odd, tower
+from superstem.build import abelian, direct_sum, heisenberg_even, heisenberg_odd, tower
 from superstem.catalog import get, names
 from superstem.core import SuperDim, subspace_contains, subspace_leq
 from superstem.invariants import (
@@ -22,13 +22,7 @@ from superstem.invariants import (
     t_scalar,
     upper_central_series,
 )
-from superstem.linalg import frac
-from test_single_pass import central_quotient
-
-
-def non_nilpotent_example():
-    # [e1, e2] = e2 has trivial centre, so the series never leaves zero
-    return algebra_from_relations("solvable", ("e1", "e2"), (), [(0, 1, {1: frac(1)})])
+from test_single_pass import central_quotient, non_nilpotent_example
 
 
 def test_center_of_catalog_entry():
@@ -104,6 +98,21 @@ def test_non_nilpotent_detection():
     for fn in (nilpotency_class, generator_pair, st, t_scalar, schur_bound_check):
         with pytest.raises(NotNilpotentError):
             fn(alg)
+
+
+def test_empty_algebra_is_nilpotent_of_class_zero_and_stem():
+    alg = abelian(0, 0)
+    none = SuperDim(0, 0)
+    rep = invariant_report(alg)
+    assert (rep.sdim, rep.sdim_derived, rep.sdim_center, rep.generator_pair, rep.lam, rep.st) == (none,) * 6
+    assert rep.central_series == () and rep.nilpotency_class == 0 and rep.is_stem and rep.t == 0
+    assert is_nilpotent(alg) and nilpotency_class(alg) == 0 and is_stem(alg)
+    assert generator_pair(alg) == none
+    t_alg, pad = stem_decomposition(alg)
+    assert t_alg.sdim == pad == none
+    audit = proposition_audit(alg)
+    assert audit.derived_total == 0 and audit.t == 0
+    assert all(not r.applies and r.holds for r in audit.rungs)
 
 
 def test_is_stem():

@@ -28,6 +28,20 @@ def mat_vec(m, v):
     return tuple(frac(sum((a * b for a, b in zip(row, v) if a and b), Fraction(0))) for row in m.entries)
 
 
+def dense_reduce(v, b):
+    """reduce_mod as a loop over every column right of each pivot."""
+    work = [frac(x) for x in v]
+    coords = []
+    for row, p in zip(b.matrix.entries, b.pivot_cols):
+        c = work[p]
+        coords.append(c)
+        if c:
+            for j in range(p, b.width):
+                if row[j]:
+                    work[j] -= c * row[j]
+    return tuple(work), tuple(coords)
+
+
 def small_matrix(max_dim=5):
     return strat.integers(1, max_dim).flatmap(
         lambda c: strat.lists(

@@ -2,18 +2,20 @@
 
 The upper central series is computed as one kernel per step on L itself,
 and the generator pair of L/Z(L) as sdim L - sdim([L,L] + Z(L)).  The
-differential tests rebuild both the old way, through `quotient` and
-`QuotientMap.lift`; the guard tests check that the report paths build no
-quotient algebra and solve Der once, as one n^2-wide system.  ID and ID*
-are found inside the Der solution; they are checked against stacked
-systems that solve each parity apart, in that parity's own positions, on
-the corpus and on rescaled and sheared bases.
+differential tests rebuild both the old way, through the dense `quotient`
+below and its `lift`, the one quotient algebra in the project: the library
+reads every invariant from subspaces of L.  The guard tests check that the
+report paths solve Der once, as one n^2-wide system.  ID and ID* are found
+inside the Der solution; they are checked against stacked systems that
+solve each parity apart, in that parity's own positions, on the corpus and
+on rescaled and sheared bases.
 """
 
-import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 import superstem.derivations
 from superstem.build import (
@@ -22,10 +24,9 @@ from superstem.build import (
     direct_sum,
     heisenberg_even,
     heisenberg_odd,
-    quotient,
     tower,
 )
-from superstem.catalog import entries, get, verify_classification, verify_table1
+from superstem.catalog import entries, get, names, verify_classification, verify_table1
 from superstem.core import (
     GradedSubspace,
     LieSuperalgebra,
@@ -52,9 +53,10 @@ from superstem.invariants import (
     st,
     upper_central_series,
 )
-from superstem.linalg import EchelonBasis, Matrix, frac, kernel_basis, matrix, rref, sparse_matrix
+from superstem.linalg import ZERO, EchelonBasis, Matrix, frac, kernel_basis, matrix, rref, sparse_matrix
 
-SAMPLE = ("(4|0)_2", "(2|2)_6", "(1|3)_1", "(3|2)_13", "(2|3)_18")
+from test_acceptance import corpus
+from test_linalg import dense_reduce
 
 
 def parity_parts(space):
@@ -114,22 +116,38 @@ def part(space, parity):
 
 
 def non_nilpotent_example():
+    # [e1, e2] = e2 has trivial centre, so the series never leaves zero
     return algebra_from_relations("solvable", ("e1", "e2"), (), [(0, 1, {1: frac(1)})])
-
-
-def acceptance_corpus():
-    """The 94 algebras of the acceptance tests."""
-    algs = [e.algebra for e in entries()]
-    algs += [heisenberg_even(m, s - m) for s in range(1, 7) for m in range(s + 1)]
-    algs += [heisenberg_odd(m) for m in range(1, 5)]
-    algs += [tower(t) for t in range(1, 7)]
-    algs += [direct_sum(get(a).algebra, get(b).algebra) for a in SAMPLE for b in SAMPLE]
-    return algs
 
 
 def differential_corpus():
     """The acceptance corpus, two scaling points and one non-nilpotent algebra."""
-    return acceptance_corpus() + [heisenberg_even(10, 0), tower(20), non_nilpotent_example()]
+    return corpus() + [heisenberg_even(10, 0), tower(20), non_nilpotent_example()]
+
+
+def quotient(alg, ideal):
+    """L/I as an algebra, and the lift that scatters its coordinates back
+    into L.  The basis vectors kept are those that are not pivots of I's
+    echelon basis; each bracket of two of them, reduced modulo I by the
+    dense loop over I's rows, lies on the kept coordinates alone."""
+    basis = ideal.basis
+    kept = [i for i in range(alg.n) if i not in basis.pivot_cols]
+    vectors = [alg.basis_vector(i) for i in kept]
+    tensor = tuple(
+        tuple(tuple(dense_reduce(alg.bracket(x, y), basis)[0][k] for k in kept) for y in vectors)
+        for x in vectors
+    )
+    r = alg.sdim.even
+    q = LieSuperalgebra(f"{alg.name}/~", tuple(alg.basis_names[i] for i in kept if i < r),
+                        tuple(alg.basis_names[i] for i in kept if i >= r), tensor)
+
+    def lift(w):
+        out = [ZERO] * alg.n
+        for i, x in zip(kept, w):
+            out[i] = x
+        return tuple(out)
+
+    return q, lift
 
 
 def central_quotient(alg):
@@ -143,8 +161,8 @@ def quotient_series(alg):
     chain = []
     z_prev = zero_subspace(alg)
     while True:
-        q, qmap = quotient(alg, z_prev)
-        lifted = [qmap.lift(row) for row in center(q).basis.matrix.entries]
+        q, lift = quotient(alg, z_prev)
+        lifted = [lift(row) for row in center(q).basis.matrix.entries]
         z_next = subspace_sum(z_prev, graded_span(alg, lifted))
         if z_next.sdim == z_prev.sdim:
             break
@@ -153,6 +171,25 @@ def quotient_series(alg):
         if z_next.sdim == alg.sdim:
             break
     return tuple(chain)
+
+
+def test_quotient_of_top_grade_is_heisenberg():
+    alg = get("(4|0)_2").algebra
+    q, _ = quotient(alg, graded_span(alg, [alg.basis_vector(3)]))
+    assert q.tensor == heisenberg_even(1, 0).tensor
+    assert q.even_names == ("e1", "e2", "e3")
+
+
+def test_quotient_by_zero_is_identity_on_tensors():
+    alg = get("(2|3)_18").algebra
+    q, _ = quotient(alg, zero_subspace(alg))
+    assert q.tensor == alg.tensor
+
+
+@settings(max_examples=25, deadline=None)
+@given(strat.sampled_from(names()))
+def test_quotient_by_center_is_valid(name):
+    assert validate(central_quotient(get(name).algebra)).ok
 
 
 @pytest.mark.parametrize("alg", differential_corpus(), ids=lambda a: a.name)
@@ -173,30 +210,11 @@ def test_report_matches_central_quotient(alg):
         assert schur_bound_check(alg).sdim_central_quotient == q_alg.sdim
 
 
-@pytest.fixture
-def no_quotients(monkeypatch):
-    """Make `quotient` raise under every name a superstem module binds it to."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("quotient algebra built on a report path")
-
-    bound = [
-        (mod, attr)
-        for name, mod in list(sys.modules.items())
-        if name == "superstem" or name.startswith("superstem.")
-        for attr, value in vars(mod).items()
-        if value is quotient
-    ]
-    assert bound
-    for mod, attr in bound:
-        monkeypatch.setattr(mod, attr, refuse)
-
-
 GUARD_ALGEBRAS = ("(3|2)_13", "(2|3)_18", "(4|0)_2")
 
 
 @pytest.mark.parametrize("name", GUARD_ALGEBRAS)
-def test_report_paths_build_no_quotient(no_quotients, name):
+def test_report_paths_build_no_quotient(name):
     alg = get(name).algebra
     rep = invariant_report(alg)
     assert st(alg) == rep.st
@@ -205,7 +223,7 @@ def test_report_paths_build_no_quotient(no_quotients, name):
     assert derivation_report(alg).bound == idstar_bound_check(alg)
 
 
-def test_non_nilpotent_paths_build_no_quotient(no_quotients):
+def test_non_nilpotent_paths_build_no_quotient():
     alg = non_nilpotent_example()
     assert invariant_report(alg).st is None
     assert derivation_report(alg).bound is None
@@ -214,7 +232,7 @@ def test_non_nilpotent_paths_build_no_quotient(no_quotients):
             fn(alg)
 
 
-def test_catalog_verification_builds_no_quotient(no_quotients):
+def test_catalog_verification_builds_no_quotient():
     assert verify_table1().ok
     assert verify_classification().ok
 
@@ -336,7 +354,7 @@ def test_non_stem_examples_separate_id_star_from_id(alg):
     assert idstar_space.leq(id_space) and idstar_space.sdim != id_space.sdim
 
 
-@pytest.mark.parametrize("alg", acceptance_corpus() + non_stem_examples() + [non_nilpotent_example()],
+@pytest.mark.parametrize("alg", corpus() + non_stem_examples() + [non_nilpotent_example()],
                          ids=lambda a: a.name)
 def test_id_star_matches_stacked_systems(alg):
     assert id_star(alg) == stacked_id_star(alg)

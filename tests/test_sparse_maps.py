@@ -48,8 +48,9 @@ from superstem.linalg import (
     sum_spaces,
 )
 
-from test_linalg import mat_vec
-from test_single_pass import acceptance_corpus, allowed_positions, part, rescaled
+from test_linalg import dense_reduce, mat_vec
+from test_acceptance import corpus
+from test_single_pass import allowed_positions, part, rescaled
 
 
 def flatten_map(m):
@@ -66,20 +67,6 @@ def dense_bracket(d, e):
         for r1, r2 in zip(de.entries, ed.entries)
     )
     return GradedLinearMap((d.parity + e.parity) % 2, matrix(ents, cols=de.cols))
-
-
-def dense_reduce(v, b):
-    """reduce_mod as a loop over every column right of each pivot."""
-    work = [frac(x) for x in v]
-    coords = []
-    for row, p in zip(b.matrix.entries, b.pivot_cols):
-        c = work[p]
-        coords.append(c)
-        if c:
-            for j in range(p, b.width):
-                if row[j]:
-                    work[j] -= c * row[j]
-    return tuple(work), tuple(coords)
 
 
 def dense_contains(space, m):
@@ -336,7 +323,7 @@ def no_dense_view(monkeypatch):
 
 
 def test_reports_and_closure_build_no_dense_view(no_dense_view):
-    for alg in acceptance_corpus():
+    for alg in corpus():
         invariant_report(alg)
         assert derivation_report(alg).chain_ok
         space = derivation_space(alg)

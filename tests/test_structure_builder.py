@@ -1,14 +1,14 @@
 """One builder for the structure tensor, and sparse brackets on the library paths.
 
 `core.from_brackets` is the only code that writes `LieSuperalgebra.tensor`;
-`algebra_from_relations`, `direct_sum`, `quotient` and `stem_decomposition`
-hand it sparse brackets.  [L, L], the ideal check and projection of
-`quotient`, and the bracket and coordinate loop of `stem_decomposition` take
-brackets from `basis_bracket` and reduce against the subspace's full-width
-echelon basis.  The references below are the dense versions they replace:
-brackets of dense basis vectors, dense membership and dense echelon forms,
-one parity at a time; `parity_parts` and `graded` convert between that form
-and a `GradedSubspace`.  The structure tests keep the one-builder rule from
+`algebra_from_relations`, `direct_sum` and `stem_decomposition` hand it
+sparse brackets.  [L, L] and the bracket and coordinate loop of
+`stem_decomposition` take brackets from `basis_bracket` and reduce against
+the subspace's full-width echelon basis.  The references below are the
+dense versions they replace: brackets of dense basis vectors, dense
+membership (`dense_reduce`) and dense echelon forms, one parity at a time;
+`parity_parts` and `graded` convert between that form and a
+`GradedSubspace`.  The structure tests keep the one-builder rule from
 regressing and keep `/` and `Fraction(` inside linalg, and the guard test
 checks that the library paths never build a dense bracket.  Loops find the
 nonzero brackets through `nonzero_brackets`, never by calling
@@ -21,14 +21,7 @@ from pathlib import Path
 import pytest
 
 import superstem
-from superstem.build import (
-    NotIdealError,
-    QuotientMap,
-    abelian,
-    algebra_from_relations,
-    direct_sum,
-    quotient,
-)
+from superstem.build import abelian, algebra_from_relations, direct_sum
 from superstem.catalog import entries
 from superstem.core import (
     GradingError,
@@ -41,7 +34,6 @@ from superstem.core import (
     subspace_sum,
     validate,
     vector_parity,
-    zero_subspace,
 )
 from superstem.derivations import derivation_report
 from superstem.fileformat import export, parse
@@ -53,24 +45,14 @@ from superstem.invariants import (
     upper_central_series,
 )
 from superstem.linalg import frac, mat_mul, matrix, rref, sum_spaces
-from test_single_pass import acceptance_corpus, graded, non_stem_examples, parity_parts, rescaled, sheared
+from test_acceptance import corpus
+from test_linalg import dense_reduce
+from test_single_pass import graded, non_stem_examples, parity_parts, rescaled, sheared
 
 # catalog entries plus abelian summands, so that stem parts have a complement
-CORPUS = acceptance_corpus() + [
+CORPUS = corpus() + [
     direct_sum(e.algebra, abelian(a, b)) for e in entries() for a, b in ((1, 0), (0, 1), (1, 1))
 ]
-
-
-def membership(v, b):
-    """(whether v is in the span of b, its coordinates), by subtracting from
-    dense v the multiple of each row of b that clears the row's pivot."""
-    work = [frac(x) for x in v]
-    coords = []
-    for row, p in zip(b.matrix.entries, b.pivot_cols):
-        c = work[p]
-        coords.append(c)
-        work = [w - c * x for w, x in zip(work, row)]
-    return (False, None) if any(work) else (True, tuple(coords))
 
 
 def echelon(rows, width):
@@ -100,36 +82,10 @@ def dense_derived(alg):
     return dense_span(alg, vectors)
 
 
-def dense_is_ideal(alg, space):
-    r = alg.sdim.even
-    even, odd = parity_parts(space)
-    for row in space.basis.matrix.entries:
-        for i in range(alg.n):
-            w = alg.bracket(alg.basis_vector(i), row)
-            if not (membership(w[:r], even)[0] and membership(w[r:], odd)[0]):
-                return False
-    return True
-
-
-def dense_quotient(alg, ideal):
-    r, s = alg.sdim.even, alg.sdim.odd
-    even, odd = parity_parts(ideal)
-    even_kept = tuple(i for i in range(r) if i not in even.pivot_cols)
-    odd_kept = tuple(i for i in range(s) if i not in odd.pivot_cols)
-    qmap = QuotientMap(ideal, even_kept + tuple(r + i for i in odd_kept))
-    reps = [alg.basis_vector(i) for i in even_kept] + [alg.basis_vector(r + i) for i in odd_kept]
-    tensor = tuple(
-        tuple(qmap.project(alg.bracket(x, y)) for y in reps)
-        for x in reps
-    )
-    names = (tuple(alg.even_names[i] for i in even_kept), tuple(alg.odd_names[i] for i in odd_kept))
-    return LieSuperalgebra(f"{alg.name}/~", *names, tensor), qmap
-
-
 def _extend(ech, candidates):
     added = []
     for v in candidates:
-        if not membership(v, ech)[0]:
+        if any(dense_reduce(v, ech)[0]):
             added.append(v)
             ech = sum_spaces(ech, echelon([v], ech.width))
     return added
@@ -158,10 +114,9 @@ def dense_stem_decomposition(alg):
         row = []
         for vb in basis:
             w = alg.bracket(va, vb)
-            ok_e, ce = membership(w[:r], t_even)
-            ok_o, co = membership(w[r:], t_odd)
-            assert ok_e and ok_o
-            row.append(tuple(ce) + tuple(co))
+            (rest_e, ce), (rest_o, co) = dense_reduce(w[:r], t_even), dense_reduce(w[r:], t_odd)
+            assert not any(rest_e) and not any(rest_o)
+            row.append(ce + co)
         tensor.append(tuple(row))
     p, q = t_space.sdim.even, t_space.sdim.odd
     t_alg = LieSuperalgebra(
@@ -178,18 +133,6 @@ def dense_stem_decomposition(alg):
 @pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
 def test_derived_subalgebra_matches_dense(alg):
     assert derived_subalgebra(alg) == dense_derived(alg)
-
-
-@pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
-def test_quotient_matches_dense(alg):
-    for z in upper_central_series(alg):
-        assert quotient(alg, z) == dense_quotient(alg, z)
-    for space in (derived_subalgebra(alg), dense_span(alg, [alg.basis_vector(0)])):
-        if dense_is_ideal(alg, space):
-            assert quotient(alg, space) == dense_quotient(alg, space)
-        else:
-            with pytest.raises(NotIdealError):
-                quotient(alg, space)
 
 
 @pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
@@ -217,8 +160,6 @@ def test_builders_copy_brackets_exactly():
     assert not validate(lopsided).skew_ok
     s = direct_sum(lopsided, abelian(1, 0))
     assert s.basis_bracket(0, 1) == ((2, frac(1)),) and s.basis_bracket(1, 0) == ()
-    q, _ = quotient(lopsided, zero_subspace(lopsided))
-    assert q.tensor == lopsided.tensor
     # the view of the nonzero brackets lists what is stored, unmirrored
     assert lopsided.nonzero_brackets == ((0, 1, ((2, 1),)),)
 
@@ -235,11 +176,10 @@ def no_dense_brackets(monkeypatch):
 
 
 def test_library_paths_build_no_dense_bracket(no_dense_brackets):
-    for alg in acceptance_corpus():
+    for alg in corpus():
         invariant_report(alg)
         assert derivation_report(alg).chain_ok
         direct_sum(alg, alg)
-        quotient(alg, center(alg))
         stem_decomposition(alg)
         assert parse(export(alg)) == alg
 
