@@ -1,6 +1,8 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 from superstem.build import (
     StructureConflictError,
@@ -11,10 +13,11 @@ from superstem.build import (
     heisenberg_odd,
     tower,
 )
-from superstem.catalog import classify_by_st, get
-from superstem.core import SuperDim, graded_span, subspace_contains, validate
+from superstem.catalog import classify_by_st, get, names
+from superstem.core import SuperDim, graded_span, subspace_contains, validate, zero_subspace
 from superstem.invariants import center, derived_subalgebra
 from superstem.linalg import frac, matrix
+from test_single_pass import central_quotient, quotient
 
 
 def test_abelian_shape():
@@ -179,3 +182,25 @@ def test_floats_are_refused_at_every_entry_point():
     with pytest.raises(TypeError):
         subspace_contains(alg, ideal, (0, 0, 0, 0.5))
 
+
+# The quotient below is the dense one in test_single_pass, the one quotient
+# algebra in the project; no library path builds one.
+def test_quotient_of_top_grade_is_heisenberg():
+    alg = get("(4|0)_2").algebra
+    q, lift = quotient(alg, graded_span(alg, [alg.basis_vector(3)]))
+    assert q.tensor == heisenberg_even(1, 0).tensor
+    assert q.even_names == ("e1", "e2", "e3")
+    # the lift puts the coordinates back on e1, e2, e3
+    assert lift((frac(1), frac(2), frac(3))) == (frac(1), frac(2), frac(3), frac(0))
+
+
+def test_quotient_by_zero_is_identity_on_tensors():
+    alg = get("(2|3)_18").algebra
+    q, _ = quotient(alg, zero_subspace(alg))
+    assert q.tensor == alg.tensor
+
+
+@settings(max_examples=25, deadline=None)
+@given(strat.sampled_from(names()))
+def test_quotient_by_center_is_valid(name):
+    assert validate(central_quotient(get(name).algebra)).ok

@@ -14,8 +14,6 @@ on rescaled and sheared bases.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as strat
 
 import superstem.derivations
 from superstem.build import (
@@ -26,7 +24,7 @@ from superstem.build import (
     heisenberg_odd,
     tower,
 )
-from superstem.catalog import entries, get, names, verify_classification, verify_table1
+from superstem.catalog import entries, get, verify_classification, verify_table1
 from superstem.core import (
     GradedSubspace,
     LieSuperalgebra,
@@ -171,25 +169,6 @@ def quotient_series(alg):
         if z_next.sdim == alg.sdim:
             break
     return tuple(chain)
-
-
-def test_quotient_of_top_grade_is_heisenberg():
-    alg = get("(4|0)_2").algebra
-    q, _ = quotient(alg, graded_span(alg, [alg.basis_vector(3)]))
-    assert q.tensor == heisenberg_even(1, 0).tensor
-    assert q.even_names == ("e1", "e2", "e3")
-
-
-def test_quotient_by_zero_is_identity_on_tensors():
-    alg = get("(2|3)_18").algebra
-    q, _ = quotient(alg, zero_subspace(alg))
-    assert q.tensor == alg.tensor
-
-
-@settings(max_examples=25, deadline=None)
-@given(strat.sampled_from(names()))
-def test_quotient_by_center_is_valid(name):
-    assert validate(central_quotient(get(name).algebra)).ok
 
 
 @pytest.mark.parametrize("alg", differential_corpus(), ids=lambda a: a.name)

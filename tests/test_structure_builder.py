@@ -8,7 +8,8 @@ the subspace's full-width echelon basis.  The references below are the
 dense versions they replace: brackets of dense basis vectors, dense
 membership (`dense_reduce`) and dense echelon forms, one parity at a time;
 `parity_parts` and `graded` convert between that form and a
-`GradedSubspace`.  The structure tests keep the one-builder rule from
+`GradedSubspace`.  The dense quotient of `test_single_pass` is checked
+against the sdims the library reads from subspaces of L.  The structure tests keep the one-builder rule from
 regressing and keep `/` and `Fraction(` inside linalg, and the guard test
 checks that the library paths never build a dense bracket.  Loops find the
 nonzero brackets through `nonzero_brackets`, never by calling
@@ -34,6 +35,7 @@ from superstem.core import (
     subspace_sum,
     validate,
     vector_parity,
+    zero_subspace,
 )
 from superstem.derivations import derivation_report
 from superstem.fileformat import export, parse
@@ -47,7 +49,7 @@ from superstem.invariants import (
 from superstem.linalg import frac, mat_mul, matrix, rref, sum_spaces
 from test_acceptance import corpus
 from test_linalg import dense_reduce
-from test_single_pass import graded, non_stem_examples, parity_parts, rescaled, sheared
+from test_single_pass import graded, non_stem_examples, parity_parts, quotient, rescaled, sheared
 
 # catalog entries plus abelian summands, so that stem parts have a complement
 CORPUS = corpus() + [
@@ -133,6 +135,26 @@ def dense_stem_decomposition(alg):
 @pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
 def test_derived_subalgebra_matches_dense(alg):
     assert derived_subalgebra(alg) == dense_derived(alg)
+
+
+@pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
+def test_quotient_matches_dense(alg):
+    """The dense quotient agrees with what the library reads from subspaces
+    of L: L/Z_i has sdim L - sdim Z_i, its centre has sdim Z_{i+1} - sdim Z_i,
+    and its derived algebra has sdim([L,L] + Z_i) - sdim Z_i; L/[L,L] is
+    abelian.  The sheared basis puts the ideals off the basis vectors."""
+    for a in (alg, sheared(alg)):
+        derived = derived_subalgebra(a)
+        series = upper_central_series(a)
+        for z, z_next in zip((zero_subspace(a),) + series, series):
+            q, _ = quotient(a, z)
+            assert validate(q).ok
+            assert q.sdim == a.sdim - z.sdim
+            assert center(q).sdim == z_next.sdim - z.sdim
+            assert derived_subalgebra(q).sdim == subspace_sum(derived, z).sdim - z.sdim
+        q, _ = quotient(a, derived)
+        assert q.sdim == a.sdim - derived.sdim
+        assert center(q).sdim == q.sdim
 
 
 @pytest.mark.parametrize("alg", CORPUS, ids=lambda a: a.name)
