@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -133,6 +133,11 @@ class LieSuperalgebra:
     def _grading_error(self) -> str | None:
         # the first bracket that breaks the grading, found once per algebra
         return next((v.detail for v in grading_violations(self)), None)
+
+    @cached_property
+    def _memo(self) -> dict:
+        # the value of each _per_algebra solver on this algebra, by its name
+        return {}
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Bilinear extension of the structure tensor to coordinate vectors."""
@@ -251,6 +256,24 @@ def check_grading(alg: LieSuperalgebra) -> None:
     """
     if alg._grading_error is not None:
         raise GradingError(f"{alg.name}: {alg._grading_error}")
+
+
+def _per_algebra(solve):
+    """solve(alg), kept in alg's memo after its first call.  Algebras and
+    solved values are immutable, so a kept value is what a fresh solve
+    returns.  The grading is checked on every call: a table that is not
+    graded raises GradingError each time and nothing is kept."""
+
+    key = solve.__name__  # a name, not the function, so that an algebra still pickles
+
+    @wraps(solve)
+    def solved_once(alg: LieSuperalgebra):
+        check_grading(alg)
+        if key not in alg._memo:
+            alg._memo[key] = solve(alg)
+        return alg._memo[key]
+
+    return solved_once
 
 
 def validate(alg: LieSuperalgebra) -> ValidationReport:

@@ -8,8 +8,10 @@ together, is one reduced echelon basis in the row-major flattening i n + j
 of the full n x n matrix, with homogeneous rows whose degree is read from
 their pivots.  Der is one kernel of the law rows over all n^2 positions, ad
 one row reduction, and ID and ID* one kernel each in the coordinates of the
-space they are cut from.  The solvers trust the parities of the basis, so
-they first check that the table is graded (core.check_grading).
+space they are cut from.  Each space is solved once per algebra object and
+kept (core._per_algebra), so ID, ID* and the reports read the kept Der,
+[L,L] and Z(L).  The solvers trust the parities of the basis, so every call
+first checks that the table is graded (core.check_grading).
 
 Maps and echelon bases are Matrix values, which store only the nonzero
 (column, value) pairs of each row.  The law rows, applying a map, brackets
@@ -23,14 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LieSuperalgebra, SuperDim, check_grading
-from .invariants import (
-    InvariantReport,
-    _nilpotent_report,
-    center,
-    derived_subalgebra,
-    invariant_report,
-)
+from .core import LieSuperalgebra, SuperDim, _per_algebra
+from .invariants import _nilpotent_report, center, derived_subalgebra, invariant_report
 from .linalg import (
     EchelonBasis,
     Matrix,
@@ -139,16 +135,16 @@ def _law_rows(alg: LieSuperalgebra) -> list[dict[int, Scalar]]:
     return [row for row in rows.values() if any(row.values())]
 
 
+@_per_algebra
 def derivation_space(alg: LieSuperalgebra) -> DerivationSpace:
     """All superderivations, both degrees, as one kernel of the law rows."""
-    check_grading(alg)
     n = alg.n
     return DerivationSpace(n, kernel_basis(sparse_matrix(_law_rows(alg), n * n)), alg.sdim.even)
 
 
+@_per_algebra
 def inner_derivations(alg: LieSuperalgebra) -> DerivationSpace:
     """ad(L), spanned by the adjoint maps of the basis vectors."""
-    check_grading(alg)
     n = alg.n
     flats: list[dict[int, Scalar]] = [{} for _ in range(n)]
     for i, j, support in alg.nonzero_brackets:
@@ -176,16 +172,18 @@ def _vanishing(basis: EchelonBasis, values: list[dict[int, Scalar]]) -> EchelonB
     return EchelonBasis(mat_mul(coeffs.matrix, basis.matrix), pivots)
 
 
-def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSpace, DerivationSpace]:
-    """(ID(L), ID*(L)) found inside der = Der(L), one kernel each.
+@_per_algebra
+def id_star(alg: LieSuperalgebra) -> tuple[DerivationSpace, DerivationSpace]:
+    """The pair (ID(L), ID*(L)), found inside Der(L) by one kernel each.
 
-    ID = {D in Der : D(b_j) = 0 mod [L, L] for every j} is cut from Der by
-    the residues of its columns; ID* = {D in ID : D(z) = 0 for z in Z(L)} is
-    cut from ID by the images of a basis of the centre.  [L, L] and Z(L)
-    have homogeneous bases, so each condition is nonzero on maps of one
-    degree only, and both degrees are cut at once.
+    ID(L) = {D in Der : D(b_j) in [L, L] for every j}, the superderivations
+    with image inside [L, L], is cut from Der by the residues of its columns;
+    ID*(L) = {D in ID : D(Z(L)) = 0} is cut from ID by the images of a basis
+    of the centre.  [L, L] and Z(L) have homogeneous bases, so each
+    condition is nonzero on maps of one degree only, and both degrees are
+    cut at once.
     """
-    n = alg.n
+    n, der = alg.n, derivation_space(alg)
     derived = derived_subalgebra(alg).basis
     # the centre's basis z_0, z_1, ... as {j: z_t[j]} over its nonzeros
     cent = [dict(z) for z in center(alg).basis.matrix.support]
@@ -212,18 +210,6 @@ def _id_spaces(alg: LieSuperalgebra, der: DerivationSpace) -> tuple[DerivationSp
     id_basis = _vanishing(der.basis, [residues(d) for d in der.basis.matrix.support])
     star_basis = _vanishing(id_basis, [central_images(d) for d in id_basis.matrix.support])
     return DerivationSpace(n, id_basis, der.even_width), DerivationSpace(n, star_basis, der.even_width)
-
-
-def id_star(alg: LieSuperalgebra) -> tuple[DerivationSpace, DerivationSpace]:
-    """The pair (ID(L), ID*(L)).
-
-    ID(L) is the space of superderivations with image inside [L, L]; ID*(L)
-    is the subspace of those that also vanish on the centre.  Der(L) is
-    solved once; ID and ID* are small kernels in the coordinates
-    of its basis, ID = {D in Der : D(b_j) in [L, L] for all j} and
-    ID* = {D in ID : D(Z(L)) = 0}.
-    """
-    return _id_spaces(alg, derivation_space(alg))
 
 
 def der_bracket(d: GradedLinearMap, e: GradedLinearMap) -> GradedLinearMap:
@@ -255,14 +241,10 @@ class IdStarBoundReport:
     holds: bool
 
 
-def _idstar_bound(rep: InvariantReport, idstar_space: DerivationSpace) -> IdStarBoundReport:
-    sd = idstar_space.sdim
-    return IdStarBoundReport(rep.name, sd, rep.generator_pair, rep.lam, sd <= rep.lam)
-
-
 def idstar_bound_check(alg: LieSuperalgebra) -> IdStarBoundReport:
     """Check sdim ID*(L) <= lambda([L,L], p, q) componentwise."""
-    return _idstar_bound(_nilpotent_report(alg), id_star(alg)[1])
+    rep, sd = _nilpotent_report(alg), id_star(alg)[1].sdim
+    return IdStarBoundReport(rep.name, sd, rep.generator_pair, rep.lam, sd <= rep.lam)
 
 
 @dataclass(frozen=True)
@@ -277,17 +259,12 @@ class DerivationReport:
 
 
 def derivation_report(alg: LieSuperalgebra) -> DerivationReport:
-    """Dimensions of Der, ad, ID, ID* plus the containment chain and bound.
-
-    One n^2-wide kernel solve, Der.  ID and ID* are found inside that Der as
-    in id_star, ID* is shared with the bound, and the bound's (p|q) and
-    lambda come from invariant_report.
-    """
+    """Dimensions of Der, ad, ID, ID* plus the containment chain and, for
+    nilpotent L, the ID* bound."""
     der = derivation_space(alg)
     inner = inner_derivations(alg)
-    id_space, idstar_space = _id_spaces(alg, der)
+    id_space, idstar_space = id_star(alg)
     chain_ok = inner.leq(idstar_space) and idstar_space.leq(id_space) and id_space.leq(der)
-    rep = invariant_report(alg)
-    bound = _idstar_bound(rep, idstar_space) if rep.lam is not None else None
+    bound = idstar_bound_check(alg) if invariant_report(alg).lam is not None else None
     return DerivationReport(
         alg.name, der.sdim, inner.sdim, id_space.sdim, idstar_space.sdim, chain_ok, bound)

@@ -2,11 +2,11 @@
 decompositions, minimal generator pairs, and the size invariants built from
 them.
 
-The solvers trust the parities of the basis.  `derived_subalgebra`, `center`
-and `upper_central_series` check that the table is graded
-(core.check_grading), and every other function here calls one of them
-before it solves anything, so a table that is not graded raises GradingError
-first.
+Each quantity is a function of the algebra alone: `derived_subalgebra`,
+`center`, `upper_central_series` and `invariant_report` solve once per
+algebra object and keep the value (core._per_algebra), and the rest read
+them.  Each call of the four checks the grading first (core.check_grading),
+so a table that is not graded raises GradingError before any solve.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .core import (
     GradedSubspace,
     LieSuperalgebra,
     SuperDim,
-    check_grading,
+    _per_algebra,
     from_brackets,
     sparse_bracket,
     sparse_span,
@@ -38,9 +38,9 @@ class StemDecompositionError(RuntimeError):
     """Internal consistency check of a stem decomposition failed."""
 
 
+@_per_algebra
 def derived_subalgebra(alg: LieSuperalgebra) -> GradedSubspace:
     """The span of all brackets, [L, L]."""
-    check_grading(alg)
     return sparse_span(alg, (support for i, j, support in alg.nonzero_brackets if i <= j))
 
 
@@ -59,28 +59,26 @@ def _central_step(alg: LieSuperalgebra, z: GradedSubspace) -> GradedSubspace:
     return GradedSubspace(kernel_basis(sparse_matrix(list(rows.values()), alg.n)), z.even_width)
 
 
+@_per_algebra
 def center(alg: LieSuperalgebra) -> GradedSubspace:
     """Z(L) = {x : [x, L] = 0}, the central step taken from the zero subspace."""
-    check_grading(alg)
     return _central_step(alg, zero_subspace(alg))
 
 
+@_per_algebra
 def upper_central_series(alg: LieSuperalgebra) -> tuple[GradedSubspace, ...]:
     """The strictly increasing chain Z_1(L) < Z_2(L) < ... until it stalls.
 
-    Each step is one kernel on L itself, Z_{i+1} = {x : [x, L] in Z_i}: its
-    constraint rows are the residues of the brackets [b_i, b_j] modulo Z_i,
-    so no quotient algebra is built.
+    Z_1 = Z(L), so the chain is empty when Z(L) = 0.  Each later step is one
+    kernel on L itself, Z_{i+1} = {x : [x, L] in Z_i}: its constraint rows
+    are the residues of [b_i, b_j] modulo Z_i, so no quotient is built.
     """
-    check_grading(alg)
     chain: list[GradedSubspace] = []
-    z = zero_subspace(alg)
-    while z.sdim != alg.sdim:
-        z_next = _central_step(alg, z)
-        if z_next.sdim == z.sdim:
-            break
-        chain.append(z_next)
-        z = z_next
+    z = center(alg)
+    while z.basis.dim > (chain[-1].basis.dim if chain else 0):
+        chain.append(z)
+        if z.basis.dim < alg.n:  # else z = L, and the loop ends
+            z = _central_step(alg, z)
     return tuple(chain)
 
 
@@ -95,7 +93,7 @@ def nilpotency_class(alg: LieSuperalgebra) -> int:
 
 def is_stem(alg: LieSuperalgebra) -> bool:
     """Whether Z(L) is contained in the derived subalgebra."""
-    return invariant_report(alg).is_stem
+    return subspace_leq(center(alg), derived_subalgebra(alg))
 
 
 def generator_pair(alg: LieSuperalgebra) -> SuperDim:
@@ -251,20 +249,21 @@ class InvariantReport:
     t: int | None
 
 
+@_per_algebra
 def invariant_report(alg: LieSuperalgebra) -> InvariantReport:
     """Every invariant of one algebra in a single pass.
 
-    Only [L,L], the upper central series and Z(L), its first term (zero
-    when the series is empty), are computed.  For nilpotent L the rest
-    follows without quotient algebras: sdim L/Z(L) = sdim L - sdim Z(L),
-    and the generator pair of L/Z(L), the one the bound uses, is
-    sdim L - sdim([L,L] + Z(L)), because [L/Z, L/Z] = ([L,L] + Z)/Z.
-    Fields depending on nilpotency are None when the series stalls.  A table
-    that is not graded raises GradingError first.
+    Only [L,L], Z(L) and the upper central series are computed.  For
+    nilpotent L the rest follows without quotient algebras:
+    sdim L/Z(L) = sdim L - sdim Z(L), and the generator pair of L/Z(L), the
+    one the bound uses, is sdim L - sdim([L,L] + Z(L)), because
+    [L/Z, L/Z] = ([L,L] + Z)/Z.  Fields depending on nilpotency are None
+    when the series stalls.  A table that is not graded raises GradingError
+    first.
     """
     derived = derived_subalgebra(alg)
+    cent = center(alg)
     series = upper_central_series(alg)
-    cent = series[0] if series else zero_subspace(alg)
     top = series[-1].sdim if series else cent.sdim
     if top == alg.sdim:
         klass: int | None = len(series)

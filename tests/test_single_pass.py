@@ -41,6 +41,7 @@ from superstem.derivations import (
     id_star,
     idstar_bound_check,
 )
+from superstem.fileformat import export, parse
 from superstem.invariants import (
     NotNilpotentError,
     center,
@@ -233,17 +234,19 @@ def kernel_widths(monkeypatch):
 SOLVE_GUARD_ALGEBRAS = [get("(3|2)_13").algebra, heisenberg_even(2, 1), tower(3), abelian(1, 2)]
 
 
+# each guard runs on a fresh copy: an algebra object keeps what was solved
+# for it, so on a shared one the guard would read a kept value
 @pytest.mark.parametrize("alg", SOLVE_GUARD_ALGEBRAS, ids=lambda a: a.name)
 def test_derivation_report_solves_der_once(kernel_widths, alg):
     """Der is one n^2-wide kernel; ID is cut in Der's coordinates and ID*
     in ID's, one kernel each."""
-    rep = derivation_report(alg)
+    rep = derivation_report(parse(export(alg)))
     assert kernel_widths == [alg.n ** 2, rep.sdim_der.total, rep.sdim_id.total]
 
 
 @pytest.mark.parametrize("alg", SOLVE_GUARD_ALGEBRAS, ids=lambda a: a.name)
 def test_idstar_bound_check_solves_der_once(kernel_widths, alg):
-    idstar_bound_check(alg)
+    idstar_bound_check(parse(export(alg)))
     assert len(kernel_widths) == 3 and kernel_widths[0] == alg.n ** 2
 
 

@@ -31,7 +31,7 @@ from superstem.derivations import (
     id_star,
     inner_derivations,
 )
-from superstem.fileformat import parse
+from superstem.fileformat import export, parse
 from superstem.invariants import invariant_report
 from superstem.linalg import (
     ZERO,
@@ -323,7 +323,9 @@ def no_dense_view(monkeypatch):
 
 
 def test_reports_and_closure_build_no_dense_view(no_dense_view):
-    for alg in corpus():
+    # fresh copies, so that every solver runs rather than reading what an
+    # earlier test kept on the shared corpus objects
+    for alg in map(parse, map(export, corpus())):
         invariant_report(alg)
         assert derivation_report(alg).chain_ok
         space = derivation_space(alg)

@@ -198,7 +198,9 @@ def no_dense_brackets(monkeypatch):
 
 
 def test_library_paths_build_no_dense_bracket(no_dense_brackets):
-    for alg in corpus():
+    # fresh copies, so that every solver runs rather than reading what an
+    # earlier test kept on the shared corpus objects
+    for alg in map(parse, map(export, corpus())):
         invariant_report(alg)
         assert derivation_report(alg).chain_ok
         direct_sum(alg, alg)
