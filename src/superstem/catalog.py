@@ -17,8 +17,7 @@ checks it against the catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .build import abelian, algebra_from_relations, direct_sum, heisenberg_even, heisenberg_odd, numbered_names
 from .core import LieSuperalgebra, SuperDim
 from .invariants import _nilpotent_report, st
@@ -184,8 +183,7 @@ _DEFS = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     algebra: LieSuperalgebra
     sdim_central_quotient: SuperDim
@@ -228,8 +226,7 @@ def entries() -> tuple[CatalogEntry, ...]:
     return tuple(_ENTRIES.values())
 
 
-@dataclass(frozen=True)
-class TableRowCheck:
+class TableRowCheck(Record):
     name: str
     stored: tuple[SuperDim, SuperDim, SuperDim]
     computed: tuple[SuperDim, SuperDim, SuperDim]
@@ -239,8 +236,7 @@ class TableRowCheck:
         return self.stored == self.computed
 
 
-@dataclass(frozen=True)
-class Table1Report:
+class Table1Report(Record):
     rows: tuple[TableRowCheck, ...]
 
     @property
@@ -263,8 +259,7 @@ class UnsupportedStError(ValueError):
     """The requested st value is outside the classified range."""
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(Record):
     description: str
     algebra: LieSuperalgebra
     st: SuperDim
@@ -358,16 +353,14 @@ def classify_by_st(value: SuperDim, sdim: SuperDim) -> tuple[FamilyInstance, ...
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class ClassificationCheck:
+class ClassificationCheck(Record):
     description: str
     expected_st: SuperDim | None
     computed_st: SuperDim
     ok: bool
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     checks: tuple[ClassificationCheck, ...]
 
     @property

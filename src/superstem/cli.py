@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
 from . import catalog, fileformat, reports
+from ._record import Record
 from .build import abelian, heisenberg_even, heisenberg_odd, tower
 from .core import SuperDim, validate
 from .derivations import derivation_report, idstar_bound_check
@@ -219,8 +219,7 @@ def _cmd_make(args) -> int:
     return OK
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Record):
     """One subcommand: its handler, what its argv may hold, and its usage
     lines as (syntax, summary) pairs.
 

@@ -17,10 +17,10 @@ graded dimension is read from which side of r each pivot falls.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record
 from .linalg import (
     EchelonBasis,
     ONE,
@@ -46,8 +46,7 @@ class GradingError(ValueError):
     wrong parity, so the table is not graded."""
 
 
-@dataclass(frozen=True)
-class SuperDim:
+class SuperDim(Record):
     """A graded dimension (even, odd), partially ordered componentwise."""
 
     even: int
@@ -86,8 +85,7 @@ Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
 MAX_BASIS = 128
 
 
-@dataclass(frozen=True)
-class LieSuperalgebra:
+class LieSuperalgebra(Record):
     name: str
     even_names: tuple[str, ...]
     odd_names: tuple[str, ...]
@@ -212,15 +210,13 @@ def vector_parity(alg: LieSuperalgebra, v: Sequence[Scalar]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class LawViolation:
+class LawViolation(Record):
     law: str
     indices: tuple[int, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     grading_ok: bool
     skew_ok: bool
     jacobi_ok: bool
@@ -327,14 +323,13 @@ def validate(alg: LieSuperalgebra) -> ValidationReport:
     return ValidationReport(*(v is None for v in first), tuple(v for v in first if v is not None))
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
+class GradedSubspace(Record):
     """A graded subspace held as one reduced echelon basis of width n.
 
     Every row is homogeneous: its nonzeros lie all below even_width (an even
     row) or all from it on (an odd row).  The even rows' pivots are the ones
     below even_width, so they come first.  Equality of graded subspaces is
-    dataclass equality.
+    field equality.
     """
 
     basis: EchelonBasis

@@ -22,9 +22,9 @@ the nonzeros rather than n^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .core import LieSuperalgebra, SuperDim, _per_algebra
 from .invariants import _nilpotent_report, center, derived_subalgebra, invariant_report
 from .linalg import (
@@ -42,8 +42,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class GradedLinearMap:
+class GradedLinearMap(Record):
     parity: int
     matrix: Matrix
 
@@ -53,14 +52,13 @@ class GradedLinearMap:
         return tuple(frac(sum([x * v[j] for j, x in row if v[j]], ZERO)) for row in self.matrix.support)
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(Record):
     """A space of maps of L held as one reduced echelon basis of width n^2.
 
     Entry (i, j) of a map, the coefficient of b_i in D(b_j), is column
     i n + j.  Every row is homogeneous: its degree is |i| + |j| at each of
     its nonzeros, read against even_width, and so at its pivot.  Equality
-    of spaces is dataclass equality.
+    of spaces is field equality.
     """
 
     n: int
@@ -232,8 +230,7 @@ def der_bracket(d: GradedLinearMap, e: GradedLinearMap) -> GradedLinearMap:
     return GradedLinearMap((d.parity + e.parity) % 2, sparse_matrix(out, n))
 
 
-@dataclass(frozen=True)
-class IdStarBoundReport:
+class IdStarBoundReport(Record):
     name: str
     sdim_id_star: SuperDim
     generator_pair: SuperDim
@@ -247,8 +244,7 @@ def idstar_bound_check(alg: LieSuperalgebra) -> IdStarBoundReport:
     return IdStarBoundReport(rep.name, sd, rep.generator_pair, rep.lam, sd <= rep.lam)
 
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(Record):
     name: str
     sdim_der: SuperDim
     sdim_inner: SuperDim

@@ -17,7 +17,8 @@ super skew symmetry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import Record
 from .build import StructureConflictError, algebra_from_relations
 from .core import MAX_BASIS, LieSuperalgebra, ValidationReport, validate
 from .linalg import Scalar, frac
@@ -67,8 +68,7 @@ class ValidationFailedError(ValueError):
         super().__init__(f"algebra fails validation: {first}")
 
 
-@dataclass(frozen=True)
-class AlgebraFile:
+class AlgebraFile(Record):
     """The parsed file, before any algebra is built from it."""
 
     name: str
@@ -80,6 +80,7 @@ class AlgebraFile:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEADER_RE = re.compile(r'^algebra\s+"([^"]*)"\s*$')
 _RELATION_RE = re.compile(r"^\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.*\S)\s*$")
+_WORD_RE = re.compile(r"\S+")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?(?:/\d+)?|\+|-|\S")
 
 
@@ -133,9 +134,14 @@ def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Scalar, str], 
 
 
 def parse_file(text: str) -> AlgebraFile:
-    """Parse the textual structure without building or checking the algebra."""
+    """Parse the textual structure without building or checking the algebra.
+
+    Errors carry the line and the column in the raw line, indentation
+    included, of the offending word.
+    """
+    # each kept line is stripped; its indent turns columns in it back into raw ones
     lines = [
-        (i + 1, ln)
+        (i + 1, ln, len(raw) - len(raw.lstrip()))
         for i, raw in enumerate(text.splitlines())
         for ln in [raw.strip()]
         if ln and not ln.startswith("#")
@@ -145,7 +151,7 @@ def parse_file(text: str) -> AlgebraFile:
 
     pos = 0
 
-    def take(what: str) -> tuple[int, str]:
+    def take(what: str) -> tuple[int, str, int]:
         nonlocal pos
         if pos >= len(lines):
             raise FormatSyntaxError(f"missing {what} line", lines[-1][0] + 1, 1)
@@ -153,50 +159,54 @@ def parse_file(text: str) -> AlgebraFile:
         pos += 1
         return item
 
-    lineno, header = take("algebra")
+    lineno, header, indent = take("algebra")
     m = _HEADER_RE.match(header)
     if not m:
-        raise FormatSyntaxError('expected: algebra "<name>"', lineno, 1)
+        raise FormatSyntaxError('expected: algebra "<name>"', lineno, indent + 1)
     name = m.group(1)
 
     declared: list[str] = []
     parts = []
     for label in ("even", "odd"):
-        lineno, line = take(f"{label}:")
+        lineno, line, indent = take(f"{label}:")
         if not line.startswith(f"{label}:"):
-            raise FormatSyntaxError(f"expected a {label}: line", lineno, 1)
-        names = line[len(label) + 1 :].split()
-        for nm in names:
+            raise FormatSyntaxError(f"expected a {label}: line", lineno, indent + 1)
+        words = list(_WORD_RE.finditer(line, len(label) + 1))
+        for w in words:
+            nm, col = w.group(), indent + w.start() + 1
             if not _NAME_RE.fullmatch(nm):
-                raise FormatSyntaxError(f"bad basis name {nm!r}", lineno, line.index(nm) + 1)
+                raise FormatSyntaxError(f"bad basis name {nm!r}", lineno, col)
             if nm in declared:
-                raise FormatSyntaxError(f"basis name {nm!r} declared twice", lineno, 1)
+                raise FormatSyntaxError(f"basis name {nm!r} declared twice", lineno, col)
             declared.append(nm)
             # from_brackets would refuse it too, but without the line
             if len(declared) > MAX_BASIS:
                 raise AlgebraFormatError(f"more than {MAX_BASIS} basis names", lineno)
-        parts.append(tuple(names))
+        parts.append(tuple(w.group() for w in words))
     even_names, odd_names = parts
 
     known = set(declared)
     relations = []
     seen: set[tuple[str, str]] = set()
     while pos < len(lines):
-        lineno, line = take("relation")
+        lineno, line, indent = take("relation")
         m = _RELATION_RE.match(line)
         if not m:
-            raise FormatSyntaxError("expected: [a, b] = sum", lineno, 1)
+            raise FormatSyntaxError("expected: [a, b] = sum", lineno, indent + 1)
         left, right = m.group(1), m.group(2)
         for nm, grp in ((left, 1), (right, 2)):
             if nm not in known:
-                raise UnknownBasisNameError(f"unknown basis name {nm!r}", lineno, m.start(grp) + 1)
+                raise UnknownBasisNameError(f"unknown basis name {nm!r}", lineno, indent + m.start(grp) + 1)
         if (left, right) in seen:
-            raise DuplicateRelationError(f"[{left}, {right}] declared twice", lineno, 1)
+            raise DuplicateRelationError(f"[{left}, {right}] declared twice", lineno, indent + 1)
         seen.add((left, right))
-        terms = _parse_sum(m.group(3), lineno, m.start(3))
+        rhs, offset = m.group(3), indent + m.start(3)
+        terms = _parse_sum(rhs, lineno, offset)
         for _, nm in terms:
             if nm not in known:
-                raise UnknownBasisNameError(f"unknown basis name {nm!r}", lineno, 1)
+                # the first token that is the name, not the first substring
+                col = next(t.start() for t in _TOKEN_RE.finditer(rhs) if t.group() == nm)
+                raise UnknownBasisNameError(f"unknown basis name {nm!r}", lineno, offset + col + 1)
         relations.append((left, right, terms, lineno))
     return AlgebraFile(name, even_names, odd_names, tuple(relations))
 

@@ -11,8 +11,7 @@ so a table that is not graded raises GradingError before any solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .core import (
     GradedSubspace,
     LieSuperalgebra,
@@ -128,8 +127,7 @@ def t_scalar(alg: LieSuperalgebra) -> int:
     return _nilpotent_report(alg).t
 
 
-@dataclass(frozen=True)
-class SchurBoundReport:
+class SchurBoundReport(Record):
     name: str
     sdim_central_quotient: SuperDim
     generator_pair: SuperDim
@@ -144,16 +142,14 @@ def schur_bound_check(alg: LieSuperalgebra) -> SchurBoundReport:
     return SchurBoundReport(alg.name, quot, rep.generator_pair, rep.lam, quot <= rep.lam)
 
 
-@dataclass(frozen=True)
-class LadderRung:
+class LadderRung(Record):
     derived_at_least: int
     t_at_least: int
     applies: bool
     holds: bool
 
 
-@dataclass(frozen=True)
-class PropositionAuditReport:
+class PropositionAuditReport(Record):
     name: str
     derived_total: int
     t: int
@@ -234,8 +230,7 @@ def stem_decomposition(alg: LieSuperalgebra) -> tuple[LieSuperalgebra, SuperDim]
     return t_alg, pad
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     name: str
     sdim: SuperDim
     sdim_derived: SuperDim

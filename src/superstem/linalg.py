@@ -10,7 +10,7 @@ this canonical form, and every value the kernel stores is brought back to
 it after arithmetic that may leave an integral Fraction.
 
 A Matrix stores only the nonzero (column, value) pairs of each row, in
-column order, so equality of matrices is dataclass equality; its dense rows
+column order, so equality of matrices is field equality; its dense rows
 are a view built on request.  Every operation is a pure function, so values
 can be shared freely between threads.  Spans are kept in reduced row echelon
 form, which makes equality of subspaces plain tuple equality.
@@ -34,10 +34,11 @@ whose kernel vectors are already in reduced echelon form.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+from ._record import Record
 
 Scalar = int | Fraction
 ZERO = 0
@@ -72,8 +73,7 @@ def _div(x: Scalar, p: Scalar) -> Scalar:
     return _canon(x / p)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """A rows x cols matrix held as each row's nonzero (column, value) pairs,
     in increasing column order; no stored value is zero."""
 
@@ -135,8 +135,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return sparse_matrix(out, b.cols)
 
 
-@dataclass(frozen=True)
-class EchelonBasis:
+class EchelonBasis(Record):
     """A subspace held as a reduced row echelon matrix with its pivot columns.
 
     Zero rows are dropped, pivots are 1 and are the only nonzero entry in

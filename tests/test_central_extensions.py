@@ -12,7 +12,6 @@ and not an isomorphism test.  The draws also carry a check that the
 invariants do not depend on the basis.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -162,8 +161,8 @@ def rebased(alg, rng):
 
 def basis_free_part(alg):
     rep, der = invariant_report(alg), derivation_report(alg)
-    bound = None if der.bound is None else replace(der.bound, name=None)
-    return replace(rep, name=None), replace(der, name=None, bound=bound)
+    bound = None if der.bound is None else der.bound._replace(name=None)
+    return rep._replace(name=None), der._replace(name=None, bound=bound)
 
 
 @settings(max_examples=50, deadline=None)

@@ -181,6 +181,26 @@ def test_bad_rationals():
         parse_file('algebra "x"\neven: e1 e2\nodd:\n[e1, e2] = 1/0 e1\n')
 
 
+@pytest.mark.parametrize("text, error, line, column", [
+    # columns count in the raw line, indentation included
+    ('algebra "x"\neven: x y\nodd:\n    [x, y] = 1/0 x\n', BadRationalError, 4, 14),
+    ('  algebra x\n', FormatSyntaxError, 1, 3),
+    ('algebra "x"\neven: e1 e2\nodd:\n  [e1, e9] = e2\n', UnknownBasisNameError, 4, 8),
+    ('algebra "x"\neven: e1 e2\nodd:\n[e1, e2] = e1\n  [e1, e2] = e2\n', DuplicateRelationError, 5, 3),
+    # the offending word, not the first substring equal to it
+    ('algebra "x"\n  even: x1 1\nodd:\n', FormatSyntaxError, 2, 12),
+    ('algebra "x"\neven: e2 e22\nodd:\n[e2, e22] = e22 + e2 + 2 e222\n', UnknownBasisNameError, 4, 26),
+    # a repeated name at its second declaration
+    ('algebra "x"\neven: a b a\nodd:\n', FormatSyntaxError, 2, 11),
+    ('algebra "x"\neven: a b\nodd: c a\n', FormatSyntaxError, 3, 8),
+])
+def test_error_columns_point_at_the_offending_word(text, error, line, column):
+    with pytest.raises(error) as info:
+        parse_file(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value).endswith(f"(line {line}, column {column})")
+
+
 def test_sum_syntax_errors():
     bad_sums = ["+ e1", "2 3 e1", "e1 +", "2", "e1 ++ e2", "* e1"]
     for rhs in bad_sums:

@@ -11,7 +11,6 @@ import io
 import pickle
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -128,7 +127,7 @@ def test_catalog_verify_solves_no_algebra_twice(calls, monkeypatch):
     once, so the series' arguments are the algebras solved.  They are kept
     alive in the record, so no two of them share an id()."""
     monkeypatch.setattr(catalog, "_ENTRIES", {
-        name: replace(entry, algebra=fresh(entry.algebra)) for name, entry in catalog._ENTRIES.items()})
+        name: entry._replace(algebra=fresh(entry.algebra)) for name, entry in catalog._ENTRIES.items()})
     solved = calls(invariants, "upper_central_series")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["catalog", "verify"]) == 0
