@@ -17,11 +17,18 @@ Maps and echelon bases are Matrix values, which store only the nonzero
 (column, value) pairs of each row.  The law rows, applying a map, brackets
 of maps, membership in a space, containment of spaces and the images of the
 centre are built from and work on these pairs alone, so their cost follows
-the nonzeros rather than n^2.
+the nonzeros rather than n^2.  A map keeps the list of its nonzero entries
+(i, j, x) after its first bracket, as an echelon basis keeps its rows by
+pivot, and `der_bracket` walks those entries and the rows they name, sums
+into one dict keyed (i, j) and builds only the rows that come out nonzero;
+`contains` passes over the empty rows of a map, stops at its first nonzero
+of the wrong degree and reduces nothing for the zero map.  So a bracket and
+a membership test cost the nonzeros of their maps, not n rows each.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from ._record import Record
@@ -33,6 +40,7 @@ from .linalg import (
     ONE,
     ZERO,
     Scalar,
+    _canon,
     frac,
     kernel_basis,
     mat_mul,
@@ -50,6 +58,20 @@ class GradedLinearMap(Record):
         if len(v) != self.matrix.cols:
             raise ValueError("vector length does not match column count")
         return tuple(frac(sum([x * v[j] for j, x in row if v[j]], ZERO)) for row in self.matrix.support)
+
+    @cached_property
+    def _entries(self) -> tuple[tuple[int, int, Scalar], ...]:
+        """The nonzero entries (i, j, x), in row-major order, built on first use."""
+        return tuple([(i, j, x) for i, row in enumerate(self.matrix.support) if row for j, x in row])
+
+
+def _square(n: int, rows: dict[int, list[tuple[int, Scalar]]]) -> Matrix:
+    """The n x n Matrix whose nonzero rows are given as {i: (j, x) pairs in
+    column order}; every other row is the shared empty one."""
+    support: list[tuple[tuple[int, Scalar], ...]] = [()] * n
+    for i, row in rows.items():
+        support[i] = tuple(row)
+    return Matrix(n, n, tuple(support))
 
 
 class DerivationSpace(Record):
@@ -79,13 +101,12 @@ class DerivationSpace(Record):
         n = self.n
         out = []
         for p, flat in zip(self.basis.pivot_cols, self.basis.matrix.support):
-            if self._degree(p) != parity:
-                continue
-            rows: list[list] = [[] for _ in range(n)]
-            for f, x in flat:
-                i, j = divmod(f, n)
-                rows[i].append((j, x))
-            out.append(GradedLinearMap(parity, Matrix(n, n, tuple(map(tuple, rows)))))
+            if self._degree(p) == parity:
+                rows: dict[int, list[tuple[int, Scalar]]] = {}
+                for f, x in flat:
+                    i, j = divmod(f, n)
+                    rows.setdefault(i, []).append((j, x))
+                out.append(GradedLinearMap(parity, _square(n, rows)))
         return tuple(out)
 
     def contains(self, m: GradedLinearMap) -> bool:
@@ -94,10 +115,14 @@ class DerivationSpace(Record):
         n, r, odd = self.n, self.even_width, bool(m.parity)
         if (m.matrix.rows, m.matrix.cols) != (n, n):
             raise ValueError("map is not n x n")
-        support = m.matrix.support
-        if any(((i >= r) != (j >= r)) != odd for i, row in enumerate(support) for j, _ in row):
-            return False
-        return not reduce_mod(((i * n + j, x) for i, row in enumerate(support) for j, x in row), self.basis)
+        flat = []
+        for i, row in enumerate(m.matrix.support):
+            if row:
+                for j, x in row:
+                    if ((i >= r) != (j >= r)) != odd:
+                        return False
+                    flat.append((i * n + j, x))
+        return not flat or not reduce_mod(flat, self.basis)
 
     def leq(self, other: "DerivationSpace") -> bool:
         if (self.n, self.even_width) != (other.n, other.even_width):
@@ -211,23 +236,31 @@ def id_star(alg: LieSuperalgebra) -> tuple[DerivationSpace, DerivationSpace]:
 
 
 def der_bracket(d: GradedLinearMap, e: GradedLinearMap) -> GradedLinearMap:
-    """[D, E] = DE - (-1)^(|D||E|) ED, multiplied over the nonzeros of D and E."""
+    """[D, E] = DE - (-1)^(|D||E|) ED, summed over the nonzero entries of D
+    and E into one dict keyed (i, j): only the rows that come out nonzero
+    are built."""
     n = d.matrix.rows
     if (d.matrix.cols, e.matrix.rows, e.matrix.cols) != (n, n, n):
         raise ValueError("maps must be square and of the same size")
     both_odd = (d.parity * e.parity) % 2
-    ds, es = d.matrix.support, e.matrix.support
-    out: list[dict[int, Scalar]] = [{} for _ in range(n)]
-    for i, acc in enumerate(out):
-        for k, x in ds[i]:
-            for j, y in es[k]:
-                acc[j] = acc.get(j, ZERO) + x * y
-        for k, y in es[i]:
-            if not both_odd:
-                y = -y
-            for j, x in ds[k]:
-                acc[j] = acc.get(j, ZERO) + y * x
-    return GradedLinearMap((d.parity + e.parity) % 2, sparse_matrix(out, n))
+    acc: dict[tuple[int, int], Scalar] = {}
+    rows = e.matrix.support
+    for i, k, x in d._entries:
+        for j, y in rows[k]:
+            acc[i, j] = acc.get((i, j), ZERO) + x * y
+    rows = d.matrix.support
+    for i, k, x in e._entries:
+        if not both_odd:
+            x = -x
+        for j, y in rows[k]:
+            acc[i, j] = acc.get((i, j), ZERO) + x * y
+    # the keys in (i, j) order, so each row's pairs come out in column order
+    out: dict[int, list[tuple[int, Scalar]]] = {}
+    for i, j in sorted(acc):
+        x = acc[i, j]
+        if x:
+            out.setdefault(i, []).append((j, x if type(x) is int else _canon(x)))
+    return GradedLinearMap((d.parity + e.parity) % 2, _square(n, out))
 
 
 class IdStarBoundReport(Record):

@@ -63,32 +63,49 @@ def cocycle_basis(alg, pz):
     return pairs, kernel_basis(sparse_matrix(rows, len(pairs))).matrix.support
 
 
+def central_extension(draw, alg, pz):
+    """alg extended by a central basis vector z of parity pz, with
+    [b_i, b_j] += theta(b_i, b_j) z for a drawn integer combination theta of
+    the graded 2-cocycles."""
+    pairs, cocycles = cocycle_basis(alg, pz)
+    theta = {}
+    for cocycle in cocycles:
+        c = draw(strat.integers(-2, 2))
+        for u, x in cocycle:
+            theta[pairs[u]] = theta.get(pairs[u], 0) + c * x
+    r, n = alg.sdim.even, alg.n
+    # z goes last among the basis vectors of its parity
+    z = r if pz == 0 else n
+    move = [i if i < z else i + 1 for i in range(n)]
+    relations = []
+    for i in range(n):
+        for j in range(i, n):
+            value = {move[k]: x for k, x in alg.basis_bracket(i, j)}
+            if theta.get((i, j)):
+                value[z] = theta[i, j]
+            if value:
+                relations.append((move[i], move[j], value))
+    even, odd = list(alg.even_names), list(alg.odd_names)
+    (odd if pz else even).append(f"z{n + 1}")
+    return algebra_from_relations("draw", even, odd, relations)
+
+
 @strat.composite
 def nilpotent_superalgebras(draw):
     alg = abelian(draw(strat.integers(1, 3)), draw(strat.integers(0, 3)))
     for _ in range(draw(strat.integers(1, 5))):
-        pz = draw(strat.integers(0, 1))
-        pairs, cocycles = cocycle_basis(alg, pz)
-        theta = {}
-        for cocycle in cocycles:
-            c = draw(strat.integers(-2, 2))
-            for u, x in cocycle:
-                theta[pairs[u]] = theta.get(pairs[u], 0) + c * x
-        r, n = alg.sdim.even, alg.n
-        # z goes last among the basis vectors of its parity
-        z = r if pz == 0 else n
-        move = [i if i < z else i + 1 for i in range(n)]
-        relations = []
-        for i in range(n):
-            for j in range(i, n):
-                value = {move[k]: x for k, x in alg.basis_bracket(i, j)}
-                if theta.get((i, j)):
-                    value[z] = theta[i, j]
-                if value:
-                    relations.append((move[i], move[j], value))
-        even, odd = list(alg.even_names), list(alg.odd_names)
-        (odd if pz else even).append(f"z{n + 1}")
-        alg = algebra_from_relations("draw", even, odd, relations)
+        alg = central_extension(draw, alg, draw(strat.integers(0, 1)))
+    return alg
+
+
+@strat.composite
+def nilpotent_superalgebras_of_shape(draw, even, odd):
+    """A random nilpotent superalgebra of sdim (even|odd): an abelian one,
+    extended centrally by the remaining basis vectors in a drawn order."""
+    a, b = draw(strat.integers(0, even)), draw(strat.integers(0, odd))
+    alg = abelian(a, b)
+    for pz in draw(strat.permutations([0] * (even - a) + [1] * (odd - b))):
+        alg = central_extension(draw, alg, pz)
     return alg
 
 

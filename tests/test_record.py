@@ -226,6 +226,25 @@ def test_algebra_with_kept_values_survives_pickle_and_deepcopy():
         assert invariant_report(twin) == rep
 
 
+def test_map_with_kept_entries_is_the_same_value():
+    """der_bracket keeps a map's nonzero entries on the map; that is no
+    field, so equality, hash, repr, pickle, deepcopy and the refusal of
+    assignment see the same map."""
+    d = derivations.GradedLinearMap(0, linalg.Matrix(2, 2, (((0, 1), (1, Fraction(1, 2))), ())))
+    e = derivations.GradedLinearMap(1, linalg.Matrix(2, 2, ((), ((0, -3),))))
+    twin = type(d)(*fields(d))
+    derivations.der_bracket(d, e)
+    assert "_entries" in vars(d) and "_entries" not in vars(twin)
+    for copied in (twin, pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert copied == d and d == copied and hash(copied) == hash(d) and repr(copied) == repr(d)
+        assert derivations.der_bracket(copied, e) == derivations.der_bracket(d, e)
+    for value in (d, pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        for name in type(value)._fields + ("_entries",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert fields(value) == fields(twin)
+
+
 SRC = Path(superstem.__file__).resolve().parent
 
 

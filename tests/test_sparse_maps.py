@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
+from superstem.build import abelian
 from superstem.catalog import entries, get
 from superstem.core import sparse_bracket
 from superstem.derivations import (
@@ -50,6 +51,8 @@ from superstem.linalg import (
 
 from test_linalg import dense_reduce, mat_vec
 from test_acceptance import corpus
+from test_central_extensions import nilpotent_superalgebras_of_shape
+from test_nilradical import FAMILY, nilradical
 from test_single_pass import allowed_positions, part, rescaled
 
 
@@ -113,9 +116,10 @@ def outside_unit(alg, space, parity):
 
 
 CATALOG = [e.algebra for e in entries()]
+NILRADICALS = [nilradical(*shape) for shape, _ in FAMILY]
 
 
-@pytest.mark.parametrize("alg", CATALOG + [rescaled(a) for a in CATALOG], ids=lambda a: a.name)
+@pytest.mark.parametrize("alg", CATALOG + [rescaled(a) for a in CATALOG] + NILRADICALS, ids=lambda a: a.name)
 def test_bracket_and_contains_match_dense(alg):
     space = derivation_space(alg)
     maps = space.maps(0) + space.maps(1)
@@ -414,6 +418,71 @@ def test_der_bracket_of_mixed_maps_is_canonical_and_matches_fractions(maps):
     want = der_bracket(*(GradedLinearMap(m.parity, as_fractions(m.matrix)) for m in maps))
     assert_same(got, want)
     assert_same(got, dense_bracket(d, e))
+
+
+@strat.composite
+def maps_and_spaces(draw):
+    """Der of a random nilpotent superalgebra of n <= 7 basis vectors, and
+    two maps of its shape.  Each map is a sparse draw at the positions of
+    its degree, a member of Der, one of those with one nonzero of the wrong
+    degree added, or zero; the entries and coefficients are mixed scalars,
+    integral Fractions included."""
+    n = draw(strat.integers(0, 7))
+    r = draw(strat.integers(0, n))
+    space = derivation_space(draw(nilpotent_superalgebras_of_shape(r, n - r)))
+
+    def graded_map():
+        parity = draw(strat.integers(0, 1))
+        kind = draw(strat.sampled_from(("sparse", "member", "stray", "zero")))
+        rows = [[ZERO] * n for _ in range(n)]
+        if kind == "sparse":
+            allowed = [(i, j) for i in range(n) for j in range(n) if ((i >= r) != (j >= r)) == bool(parity)]
+            if allowed:
+                for i, j in draw(strat.lists(strat.sampled_from(allowed), max_size=2 * n)):
+                    rows[i][j] = draw(mixed_scalars)
+        elif kind in ("member", "stray"):
+            for m in space.maps(parity):
+                c = draw(mixed_scalars)
+                for i, row in enumerate(m.matrix.support):
+                    for j, x in row:
+                        rows[i][j] += c * x
+            wrong = [(i, j) for i in range(n) for j in range(n) if ((i >= r) != (j >= r)) != bool(parity)]
+            if kind == "stray" and wrong:
+                i, j = draw(strat.sampled_from(wrong))
+                rows[i][j] = draw(mixed_scalars.filter(bool))
+        return GradedLinearMap(parity, matrix(rows, cols=n))
+
+    return space, graded_map(), graded_map()
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_spaces())
+def test_der_bracket_and_contains_of_random_sparse_maps_match_dense(case):
+    space, d, e = case
+    br = der_bracket(d, e)
+    assert_same(br, dense_bracket(d, e))
+    assert_canonical(br.matrix)
+    for m in (d, e, br):
+        assert space.contains(m) == dense_contains(space, m)
+
+
+def test_zero_by_zero_maps():
+    space = derivation_space(abelian(0, 0))
+    for p in (0, 1):
+        for q in (0, 1):
+            d, e = GradedLinearMap(p, Matrix(0, 0, ())), GradedLinearMap(q, Matrix(0, 0, ()))
+            br = der_bracket(d, e)
+            assert br == GradedLinearMap((p + q) % 2, Matrix(0, 0, ())) == dense_bracket(d, e)
+            assert space.contains(br) and dense_contains(space, br)
+    empty, one = GradedLinearMap(0, Matrix(0, 0, ())), GradedLinearMap(0, Matrix(1, 1, ((),)))
+    with pytest.raises(ValueError, match="same size"):
+        der_bracket(empty, one)
+    with pytest.raises(ValueError, match="same size"):
+        der_bracket(one, empty)
+    with pytest.raises(ValueError, match="not n x n"):
+        space.contains(one)
+    with pytest.raises(ValueError, match="not n x n"):
+        derivation_space(abelian(1, 0)).contains(empty)
 
 
 MIXED_ALGEBRAS = [get("(3|2)_13").algebra, rescaled(get("(3|2)_13").algebra), get("(2|2)_6").algebra]
