@@ -11,6 +11,10 @@ superalgebra L with st(L) in {(0,0), (1,0), (0,1), (2,0), (0,2), (1,1)} is
 the direct sum of one head algebra and an abelian summand.  The heads are
 the Heisenberg superalgebras H(m,n) and H_m for st = (0,0) and the catalog
 entries listed in _CATALOG_HEADS otherwise; no algebra has st = (0,1).
+The list is complete up to isomorphism over an algebraically closed field
+of characteristic 0.  Over Q, where the library computes, a head with
+odd-odd brackets can split into several classes: H(m,n) with n >= 2 by the
+similarity class of its odd form, and (2|2)_1 by its pencil of odd forms.
 classify_by_st answers queries from that list, and verify_classification
 checks it against the catalog.
 """

@@ -128,9 +128,9 @@ class LieSuperalgebra(Record):
         return tuple((i, j, s) for i, plane in enumerate(self._support) for j, s in enumerate(plane) if s)
 
     @cached_property
-    def _grading_error(self) -> str | None:
+    def _grading_violation(self) -> LawViolation | None:
         # the first bracket that breaks the grading, found once per algebra
-        return next((v.detail for v in grading_violations(self)), None)
+        return next(grading_violations(self), None)
 
     @cached_property
     def _memo(self) -> dict:
@@ -248,10 +248,11 @@ def check_grading(alg: LieSuperalgebra) -> None:
 
     The solvers read the parities of the basis and trust them: on a table
     that is not graded they would give wrong answers with no error.  The
-    brackets are walked on the first call for an algebra only.
+    brackets are walked once per algebra, for this check and validate's
+    grading law together.
     """
-    if alg._grading_error is not None:
-        raise GradingError(f"{alg.name}: {alg._grading_error}")
+    if alg._grading_violation is not None:
+        raise GradingError(f"{alg.name}: {alg._grading_violation.detail}")
 
 
 def _per_algebra(solve):
@@ -319,7 +320,7 @@ def validate(alg: LieSuperalgebra) -> ValidationReport:
                             "jacobi", (i, j, k),
                             f"graded Jacobi fails on ({names[i]}, {names[j]}, {names[k]})")
 
-    first = [next(law, None) for law in (grading_violations(alg), skew(), jacobi())]
+    first = [alg._grading_violation] + [next(law, None) for law in (skew(), jacobi())]
     return ValidationReport(*(v is None for v in first), tuple(v for v in first if v is not None))
 
 

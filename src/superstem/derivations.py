@@ -13,17 +13,18 @@ kept (core._per_algebra), so ID, ID* and the reports read the kept Der,
 [L,L] and Z(L).  The solvers trust the parities of the basis, so every call
 first checks that the table is graded (core.check_grading).
 
-Maps and echelon bases are Matrix values, which store only the nonzero
-(column, value) pairs of each row.  The law rows, applying a map, brackets
-of maps, membership in a space, containment of spaces and the images of the
-centre are built from and work on these pairs alone, so their cost follows
-the nonzeros rather than n^2.  A map keeps the list of its nonzero entries
-(i, j, x) after its first bracket, as an echelon basis keeps its rows by
-pivot, and `der_bracket` walks those entries and the rows they name, sums
-into one dict keyed (i, j) and builds only the rows that come out nonzero;
-`contains` passes over the empty rows of a map, stops at its first nonzero
-of the wrong degree and reduces nothing for the zero map.  So a bracket and
-a membership test cost the nonzeros of their maps, not n rows each.
+Echelon bases are Matrix values, which store only the nonzero (column,
+value) pairs of each row, and a map is stored as one such row of width
+n^2: the sorted (i n + j, x) pairs of its nonzero entries, so the maps of a
+space are its basis rows as they are.  The law rows, applying a map,
+brackets of maps, membership in a space, containment of spaces and the
+images of the centre are built from and work on these pairs alone, so
+their cost follows the nonzeros rather than n^2.  `der_bracket` meets each
+nonzero of one map with the row of the other that its column names, read
+from the other's n x n Matrix view (built once per map), and sums into one
+dict keyed i n + j; `contains` checks the degree of each nonzero and
+reduces the row once.  So a bracket and a membership test cost the
+nonzeros of their maps, not n rows each.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .linalg import (
     EchelonBasis,
     Matrix,
     ONE,
+    Row,
     ZERO,
     Scalar,
     _canon,
@@ -51,27 +53,27 @@ from .linalg import (
 
 
 class GradedLinearMap(Record):
-    parity: int
-    matrix: Matrix
+    """A homogeneous map held as the sorted (i n + j, x) pairs of its
+    nonzero entries, as a DerivationSpace basis row; `matrix` is its n x n
+    Matrix view, built on first use."""
 
-    def apply(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        if len(v) != self.matrix.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(frac(sum([x * v[j] for j, x in row if v[j]], ZERO)) for row in self.matrix.support)
+    parity: int
+    n: int
+    row: Row
 
     @cached_property
-    def _entries(self) -> tuple[tuple[int, int, Scalar], ...]:
-        """The nonzero entries (i, j, x), in row-major order, built on first use."""
-        return tuple([(i, j, x) for i, row in enumerate(self.matrix.support) if row for j, x in row])
+    def matrix(self) -> Matrix:
+        n = self.n
+        rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+        for f, x in self.row:
+            i, j = divmod(f, n)
+            rows[i].append((j, x))
+        return Matrix(n, n, tuple(map(tuple, rows)))
 
-
-def _square(n: int, rows: dict[int, list[tuple[int, Scalar]]]) -> Matrix:
-    """The n x n Matrix whose nonzero rows are given as {i: (j, x) pairs in
-    column order}; every other row is the shared empty one."""
-    support: list[tuple[tuple[int, Scalar], ...]] = [()] * n
-    for i, row in rows.items():
-        support[i] = tuple(row)
-    return Matrix(n, n, tuple(support))
+    def apply(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
+        if len(v) != self.n:
+            raise ValueError("vector length does not match column count")
+        return tuple(frac(sum([x * v[j] for j, x in row if v[j]], ZERO)) for row in self.matrix.support)
 
 
 class DerivationSpace(Record):
@@ -98,31 +100,18 @@ class DerivationSpace(Record):
         return SuperDim(self.basis.dim - odd, odd)
 
     def maps(self, parity: int) -> tuple[GradedLinearMap, ...]:
-        n = self.n
-        out = []
-        for p, flat in zip(self.basis.pivot_cols, self.basis.matrix.support):
-            if self._degree(p) == parity:
-                rows: dict[int, list[tuple[int, Scalar]]] = {}
-                for f, x in flat:
-                    i, j = divmod(f, n)
-                    rows.setdefault(i, []).append((j, x))
-                out.append(GradedLinearMap(parity, _square(n, rows)))
-        return tuple(out)
+        return tuple(GradedLinearMap(parity, self.n, row)
+                     for p, row in zip(self.basis.pivot_cols, self.basis.matrix.support)
+                     if self._degree(p) == parity)
 
     def contains(self, m: GradedLinearMap) -> bool:
         """Whether m lies in the space; False when a nonzero of m is not of
         m's own degree."""
-        n, r, odd = self.n, self.even_width, bool(m.parity)
-        if (m.matrix.rows, m.matrix.cols) != (n, n):
+        if m.n != self.n:
             raise ValueError("map is not n x n")
-        flat = []
-        for i, row in enumerate(m.matrix.support):
-            if row:
-                for j, x in row:
-                    if ((i >= r) != (j >= r)) != odd:
-                        return False
-                    flat.append((i * n + j, x))
-        return not flat or not reduce_mod(flat, self.basis)
+        if any(self._degree(f) != m.parity for f, _ in m.row):
+            return False
+        return not m.row or not reduce_mod(m.row, self.basis)
 
     def leq(self, other: "DerivationSpace") -> bool:
         if (self.n, self.even_width) != (other.n, other.even_width):
@@ -237,30 +226,24 @@ def id_star(alg: LieSuperalgebra) -> tuple[DerivationSpace, DerivationSpace]:
 
 def der_bracket(d: GradedLinearMap, e: GradedLinearMap) -> GradedLinearMap:
     """[D, E] = DE - (-1)^(|D||E|) ED, summed over the nonzero entries of D
-    and E into one dict keyed (i, j): only the rows that come out nonzero
-    are built."""
-    n = d.matrix.rows
-    if (d.matrix.cols, e.matrix.rows, e.matrix.cols) != (n, n, n):
-        raise ValueError("maps must be square and of the same size")
-    both_odd = (d.parity * e.parity) % 2
-    acc: dict[tuple[int, int], Scalar] = {}
-    rows = e.matrix.support
-    for i, k, x in d._entries:
-        for j, y in rows[k]:
-            acc[i, j] = acc.get((i, j), ZERO) + x * y
-    rows = d.matrix.support
-    for i, k, x in e._entries:
-        if not both_odd:
-            x = -x
-        for j, y in rows[k]:
-            acc[i, j] = acc.get((i, j), ZERO) + x * y
-    # the keys in (i, j) order, so each row's pairs come out in column order
-    out: dict[int, list[tuple[int, Scalar]]] = {}
-    for i, j in sorted(acc):
-        x = acc[i, j]
-        if x:
-            out.setdefault(i, []).append((j, x if type(x) is int else _canon(x)))
-    return GradedLinearMap((d.parity + e.parity) % 2, _square(n, out))
+    and E, each against the row of the other that its column names, into
+    one dict keyed i n + j."""
+    n = d.n
+    if e.n != n:
+        raise ValueError("maps must be of the same size")
+    acc: dict[int, Scalar] = {}
+    for a, b, negate in ((d, e, False), (e, d, not (d.parity * e.parity) % 2)):
+        rows = b.matrix.support
+        for f, x in a.row:
+            if negate:
+                x = -x
+            # entry (i, k) of a meets row k of b; f - k is i n
+            k = f % n
+            for j, y in rows[k]:
+                g = f - k + j
+                acc[g] = acc.get(g, ZERO) + x * y
+    row = tuple([(f, x if type(x) is int else _canon(x)) for f, x in sorted(acc.items()) if x])
+    return GradedLinearMap((d.parity + e.parity) % 2, n, row)
 
 
 class IdStarBoundReport(Record):

@@ -11,14 +11,14 @@ The format mirrors relation lists one-to-one::
 Right-hand sides are formal sums like ``2 e2`` or ``-1 e1 + 1/3 e2``; blank
 lines and lines starting with ``#`` are ignored.  Undeclared brackets are
 zero and the mirror orientation of each declared bracket is filled in by
-super skew symmetry.
+super skew symmetry.  `parse` reads a file in one pass, resolving names to
+basis indices and summing repeated terms as it reads each relation.
 """
 
 from __future__ import annotations
 
 import re
 
-from ._record import Record
 from .build import StructureConflictError, algebra_from_relations
 from .core import MAX_BASIS, LieSuperalgebra, ValidationReport, validate
 from .linalg import Scalar, frac
@@ -68,15 +68,6 @@ class ValidationFailedError(ValueError):
         super().__init__(f"algebra fails validation: {first}")
 
 
-class AlgebraFile(Record):
-    """The parsed file, before any algebra is built from it."""
-
-    name: str
-    even_names: tuple[str, ...]
-    odd_names: tuple[str, ...]
-    relations: tuple[tuple[str, str, tuple[tuple[Scalar, str], ...], int], ...]
-
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEADER_RE = re.compile(r'^algebra\s+"([^"]*)"\s*$')
 _RELATION_RE = re.compile(r"^\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.*\S)\s*$")
@@ -84,13 +75,14 @@ _WORD_RE = re.compile(r"\S+")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?(?:/\d+)?|\+|-|\S")
 
 
-def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Scalar, str], ...]:
+def _parse_sum(rhs: str, lineno: int, offset: int, index: dict[str, int]) -> dict[int, Scalar]:
+    """The value of a right-hand side, {basis index: summed coefficient}.
+    A syntax error anywhere in it is raised before an unknown name."""
     if rhs.strip() == "0":
-        return ()
-    terms: list[tuple[Scalar, str]] = []
-    sign = 1
-    coeff: Scalar | None = None
-    expect_name = False
+        return {}
+    value: dict[int, Scalar] = {}
+    terms, unknown = 0, None
+    sign, coeff, expect_name = 1, None, False
     for tok in _TOKEN_RE.finditer(rhs):
         text = tok.group(0)
         col = offset + tok.start() + 1
@@ -104,8 +96,7 @@ def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Scalar, str], 
             elif not terms:
                 raise FormatSyntaxError("a sum cannot start with +", lineno, col)
             expect_name = True
-            continue
-        if text[0].isdigit():
+        elif text[0].isdigit():
             if coeff is not None:
                 raise FormatSyntaxError("two coefficients in a row", lineno, col)
             if "." in text:
@@ -118,26 +109,32 @@ def _parse_sum(rhs: str, lineno: int, offset: int) -> tuple[tuple[Scalar, str], 
                 # the interpreter's limit on digits in an int's text
                 raise BadRationalError(f"coefficient of {len(text)} characters has too many digits",
                                        lineno, col) from None
-            continue
-        if _NAME_RE.fullmatch(text):
-            terms.append(((coeff if coeff is not None else 1) * sign, text))
-            sign = 1
-            coeff = None
-            expect_name = False
-            continue
-        raise FormatSyntaxError(f"unexpected {text!r}", lineno, col)
+        elif _NAME_RE.fullmatch(text):
+            k = index.get(text)
+            if k is not None:
+                value[k] = value.get(k, 0) + (coeff if coeff is not None else 1) * sign
+            elif unknown is None:
+                unknown = text, col
+            terms += 1
+            sign, coeff, expect_name = 1, None, False
+        else:
+            raise FormatSyntaxError(f"unexpected {text!r}", lineno, col)
     if coeff is not None or expect_name:
         raise FormatSyntaxError("term is missing its basis name", lineno, offset + len(rhs))
     if not terms:
         raise FormatSyntaxError("empty right-hand side", lineno, offset + 1)
-    return tuple(terms)
+    if unknown is not None:
+        raise UnknownBasisNameError(f"unknown basis name {unknown[0]!r}", lineno, unknown[1])
+    return value
 
 
-def parse_file(text: str) -> AlgebraFile:
-    """Parse the textual structure without building or checking the algebra.
+def parse(text: str, *, check: bool = True) -> LieSuperalgebra:
+    """Parse, build, and (by default) validate an algebra file.
 
     Errors carry the line and the column in the raw line, indentation
-    included, of the offending word.
+    included, of the offending word; conflicts that algebra_from_relations
+    finds are reported by line.  Raises ValidationFailedError when the
+    algebra breaks a bracket law.
     """
     # each kept line is stripped; its indent turns columns in it back into raw ones
     lines = [
@@ -149,14 +146,12 @@ def parse_file(text: str) -> AlgebraFile:
     if not lines:
         raise FormatSyntaxError("empty file", 1, 1)
 
-    pos = 0
+    rest = iter(lines)
 
     def take(what: str) -> tuple[int, str, int]:
-        nonlocal pos
-        if pos >= len(lines):
+        item = next(rest, None)
+        if item is None:
             raise FormatSyntaxError(f"missing {what} line", lines[-1][0] + 1, 1)
-        item = lines[pos]
-        pos += 1
         return item
 
     lineno, header, indent = take("algebra")
@@ -165,7 +160,8 @@ def parse_file(text: str) -> AlgebraFile:
         raise FormatSyntaxError('expected: algebra "<name>"', lineno, indent + 1)
     name = m.group(1)
 
-    declared: list[str] = []
+    # each basis name's index, in the order of declaration
+    index: dict[str, int] = {}
     parts = []
     for label in ("even", "odd"):
         lineno, line, indent = take(f"{label}:")
@@ -176,71 +172,46 @@ def parse_file(text: str) -> AlgebraFile:
             nm, col = w.group(), indent + w.start() + 1
             if not _NAME_RE.fullmatch(nm):
                 raise FormatSyntaxError(f"bad basis name {nm!r}", lineno, col)
-            if nm in declared:
+            if nm in index:
                 raise FormatSyntaxError(f"basis name {nm!r} declared twice", lineno, col)
-            declared.append(nm)
+            index[nm] = len(index)
             # from_brackets would refuse it too, but without the line
-            if len(declared) > MAX_BASIS:
+            if len(index) > MAX_BASIS:
                 raise AlgebraFormatError(f"more than {MAX_BASIS} basis names", lineno)
         parts.append(tuple(w.group() for w in words))
     even_names, odd_names = parts
 
-    known = set(declared)
-    relations = []
-    seen: set[tuple[str, str]] = set()
-    while pos < len(lines):
-        lineno, line, indent = take("relation")
+    relations: list[tuple[int, int, dict[int, Scalar]]] = []
+    relation_lines: list[int] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, line, indent in rest:
         m = _RELATION_RE.match(line)
         if not m:
             raise FormatSyntaxError("expected: [a, b] = sum", lineno, indent + 1)
         left, right = m.group(1), m.group(2)
         for nm, grp in ((left, 1), (right, 2)):
-            if nm not in known:
+            if nm not in index:
                 raise UnknownBasisNameError(f"unknown basis name {nm!r}", lineno, indent + m.start(grp) + 1)
-        if (left, right) in seen:
+        pair = index[left], index[right]
+        if pair in seen:
             raise DuplicateRelationError(f"[{left}, {right}] declared twice", lineno, indent + 1)
-        seen.add((left, right))
-        rhs, offset = m.group(3), indent + m.start(3)
-        terms = _parse_sum(rhs, lineno, offset)
-        for _, nm in terms:
-            if nm not in known:
-                # the first token that is the name, not the first substring
-                col = next(t.start() for t in _TOKEN_RE.finditer(rhs) if t.group() == nm)
-                raise UnknownBasisNameError(f"unknown basis name {nm!r}", lineno, offset + col + 1)
-        relations.append((left, right, terms, lineno))
-    return AlgebraFile(name, even_names, odd_names, tuple(relations))
+        seen.add(pair)
+        relations.append((*pair, _parse_sum(m.group(3), lineno, indent + m.start(3), index)))
+        relation_lines.append(lineno)
 
-
-def build_algebra(af: AlgebraFile) -> LieSuperalgebra:
-    """Turn a parsed file into an algebra; algebra_from_relations fills in
-    the mirrors and finds conflicts, which are reported by line."""
-    index = {nm: i for i, nm in enumerate(af.even_names + af.odd_names)}
-    rels = []
-    for left, right, terms, _ in af.relations:
-        value: dict[int, Scalar] = {}
-        for c, nm in terms:
-            value[index[nm]] = value.get(index[nm], 0) + c
-        rels.append((index[left], index[right], value))
     try:
-        return algebra_from_relations(af.name, af.even_names, af.odd_names, rels)
+        alg = algebra_from_relations(name, even_names, odd_names, relations)
     except StructureConflictError as exc:
-        message, line = str(exc), None
-        if exc.relation is not None:
-            left, right, _, line = af.relations[exc.relation]
-            if exc.earlier is not None:
-                # parse_file refuses a pair declared twice, so the relation's
-                # own pair is the one an earlier relation's mirror fixed
-                message = (f"[{left}, {right}] conflicts with the relation on line "
-                           f"{af.relations[exc.earlier][3]} (super skew symmetry)")
-        raise ConflictingRelationError(message, line) from None
-
-
-def parse(text: str, *, check: bool = True) -> LieSuperalgebra:
-    """Parse, build, and (by default) validate an algebra file.
-
-    Raises ValidationFailedError when the algebra breaks a bracket law.
-    """
-    alg = build_algebra(parse_file(text))
+        # the names are distinct and the indices in range, so a conflict is
+        # always one relation's
+        message, names = str(exc), even_names + odd_names
+        if exc.earlier is not None:
+            # a pair declared twice is refused above, so the relation's own
+            # pair is the one an earlier relation's mirror fixed
+            i, j, _ = relations[exc.relation]
+            message = (f"[{names[i]}, {names[j]}] conflicts with the relation on line "
+                       f"{relation_lines[exc.earlier]} (super skew symmetry)")
+        raise ConflictingRelationError(message, relation_lines[exc.relation]) from None
     if check:
         report = validate(alg)
         if not report.ok:

@@ -41,7 +41,7 @@ from superstem.invariants import (
 )
 from superstem.linalg import frac, matrix
 
-from test_sparse_maps import flatten_map
+from test_sparse_maps import flatten_map, map_of
 
 
 def assert_is_derivation(alg, m: GradedLinearMap) -> None:
@@ -171,7 +171,7 @@ def test_inner_derivations_are_adjoint_maps():
             tuple(alg.bracket(alg.basis_vector(i), alg.basis_vector(j))[k] for j in range(alg.n))
             for k in range(alg.n)
         )
-        ad_i = GradedLinearMap(alg.parity(i), matrix(cols, cols=alg.n))
+        ad_i = map_of(alg.parity(i), matrix(cols, cols=alg.n))
         assert inner.contains(ad_i)
         assert_is_derivation(alg, ad_i)
 
@@ -202,7 +202,7 @@ def test_idstar_bound_tight_and_slack_cases():
 
 
 def test_graded_linear_map_apply():
-    m = GradedLinearMap(0, matrix(((frac(1), frac(2)), (frac(0), frac(3))), cols=2))
+    m = map_of(0, matrix(((frac(1), frac(2)), (frac(0), frac(3))), cols=2))
     assert m.apply((frac(1), frac(1))) == (frac(3), frac(3))
 
 

@@ -10,7 +10,6 @@ from superstem.build import algebra_from_relations, heisenberg_even, heisenberg_
 from superstem.catalog import get, names
 from superstem.fileformat import (
     MAX_BASIS,
-    AlgebraFile,
     AlgebraFormatError,
     BadRationalError,
     ConflictingRelationError,
@@ -18,10 +17,8 @@ from superstem.fileformat import (
     FormatSyntaxError,
     UnknownBasisNameError,
     ValidationFailedError,
-    build_algebra,
     export,
     parse,
-    parse_file,
 )
 from superstem.linalg import frac
 
@@ -87,14 +84,14 @@ def test_comments_and_blank_lines_ignored():
 
 def test_header_errors():
     with pytest.raises(FormatSyntaxError):
-        parse_file("")
+        parse("")
     with pytest.raises(FormatSyntaxError):
-        parse_file("algebra missing-quotes\neven:\nodd:\n")
+        parse("algebra missing-quotes\neven:\nodd:\n")
     with pytest.raises(FormatSyntaxError):
-        parse_file('algebra "x"\nodd:\neven:\n')
+        parse('algebra "x"\nodd:\neven:\n')
     err = None
     try:
-        parse_file('algebra "x"\neven: e1\n')
+        parse('algebra "x"\neven: e1\n')
     except FormatSyntaxError as exc:
         err = exc
     assert err is not None and "odd" in str(err)
@@ -102,27 +99,27 @@ def test_header_errors():
 
 def test_unknown_basis_name_in_bracket():
     with pytest.raises(UnknownBasisNameError) as info:
-        parse_file('algebra "x"\neven: e1 e2\nodd:\n[e1, e9] = e2\n')
+        parse('algebra "x"\neven: e1 e2\nodd:\n[e1, e9] = e2\n')
     assert info.value.line == 4
 
 
 def test_unknown_basis_name_in_sum():
     with pytest.raises(UnknownBasisNameError):
-        parse_file('algebra "x"\neven: e1 e2\nodd:\n[e1, e2] = e7\n')
+        parse('algebra "x"\neven: e1 e2\nodd:\n[e1, e2] = e7\n')
 
 
 def test_duplicate_relation():
     text = 'algebra "x"\neven: e1 e2 e3\nodd:\n[e1, e2] = e3\n[e1, e2] = e3\n'
     with pytest.raises(DuplicateRelationError) as info:
-        parse_file(text)
+        parse(text)
     assert info.value.line == 5
 
 
 def test_duplicate_basis_declaration():
     with pytest.raises(FormatSyntaxError):
-        parse_file('algebra "x"\neven: e1 e1\nodd:\n')
+        parse('algebra "x"\neven: e1 e1\nodd:\n')
     with pytest.raises(FormatSyntaxError):
-        parse_file('algebra "x"\neven: e1\nodd: e1\n')
+        parse('algebra "x"\neven: e1\nodd: e1\n')
 
 
 def declaring(even, odd):
@@ -132,11 +129,11 @@ def declaring(even, odd):
 
 def test_basis_size_limit():
     assert MAX_BASIS == 128
-    assert len(parse_file(declaring(100, 28)).even_names) == 100
-    assert len(parse_file(declaring(128, 0)).even_names) == 128
+    assert len(parse(declaring(100, 28)).even_names) == 100
+    assert len(parse(declaring(128, 0)).even_names) == 128
     for even, odd, line in ((100, 29, 3), (129, 0, 2), (0, 129, 3)):
         with pytest.raises(AlgebraFormatError) as info:
-            parse_file(declaring(even, odd))
+            parse(declaring(even, odd))
         assert info.value.line == line and "128" in str(info.value)
 
 
@@ -162,10 +159,19 @@ def test_odd_mirror_conflict_names_both_lines():
     assert parse(text.replace("-1 e1", "e1")).tensor == parse(text.split("[f2")[0]).tensor
 
 
-def test_clashing_names_in_a_hand_made_file():
-    with pytest.raises(ConflictingRelationError) as info:
-        build_algebra(AlgebraFile("x", ("e1", "e1"), (), ()))
-    assert info.value.line is None and str(info.value) == "duplicate basis names"
+def three_even(relation):
+    return f'algebra "x"\neven: e1 e2 e3\nodd:\n{relation}\n'
+
+
+def test_repeated_terms_are_summed():
+    alg = parse(three_even("[e1, e2] = e3 + 2 e3 - 1/2 e3 + e1 - e1"))
+    assert alg.basis_bracket(0, 1) == ((2, Fraction(5, 2)),)
+
+
+def test_a_syntax_error_in_a_sum_comes_before_its_unknown_name():
+    with pytest.raises(FormatSyntaxError) as info:
+        parse(three_even("[e1, e2] = e7 + * e1"))
+    assert (info.value.line, info.value.column) == (4, 17)
 
 
 def test_even_self_bracket_rejected():
@@ -175,10 +181,10 @@ def test_even_self_bracket_rejected():
 
 def test_bad_rationals():
     with pytest.raises(BadRationalError) as info:
-        parse_file('algebra "x"\neven: e1 e2\nodd:\n[e1, e2] = 2.5 e1\n')
+        parse('algebra "x"\neven: e1 e2\nodd:\n[e1, e2] = 2.5 e1\n')
     assert info.value.line == 4 and info.value.column is not None
     with pytest.raises(BadRationalError):
-        parse_file('algebra "x"\neven: e1 e2\nodd:\n[e1, e2] = 1/0 e1\n')
+        parse('algebra "x"\neven: e1 e2\nodd:\n[e1, e2] = 1/0 e1\n')
 
 
 @pytest.mark.parametrize("text, error, line, column", [
@@ -196,7 +202,7 @@ def test_bad_rationals():
 ])
 def test_error_columns_point_at_the_offending_word(text, error, line, column):
     with pytest.raises(error) as info:
-        parse_file(text)
+        parse(text)
     assert (info.value.line, info.value.column) == (line, column)
     assert str(info.value).endswith(f"(line {line}, column {column})")
 
@@ -206,7 +212,7 @@ def test_sum_syntax_errors():
     for rhs in bad_sums:
         text = f'algebra "x"\neven: e1 e2 e3\nodd:\n[e1, e2] = {rhs}\n'
         with pytest.raises(FormatSyntaxError):
-            parse_file(text)
+            parse(text)
 
 
 def test_law_violations_rejected_at_parse_time():

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings
 
-from superstem import catalog, cli, invariants, linalg
+from superstem import catalog, cli, core, invariants, linalg
 from superstem.catalog import get
 from superstem.core import GradingError, SuperDim
 from superstem.derivations import (
@@ -156,6 +156,26 @@ def test_equal_copy_solves_afresh(eliminations, name):
     assert copy == alg and copy is not alg
     assert derivation_report(copy) == rep
     assert eliminations.count(("kernel_basis", alg.n ** 2)) == 1
+
+
+def test_grading_is_walked_once_per_algebra(calls):
+    """validate (inside parse) and the grading check before each solve read
+    one first grading violation, found once per algebra object."""
+    walks = calls(core, "grading_violations")
+    alg = fresh(get("(3|2)_13").algebra)
+    invariant_report(alg)
+    derivation_report(alg)
+    assert len(walks) == 1
+
+
+def test_mis_graded_table_is_walked_once_and_raises_on_every_call(calls):
+    walks = calls(core, "grading_violations")
+    alg = mis_graded()
+    assert not core.validate(alg).grading_ok
+    for _ in range(2):
+        with pytest.raises(GradingError, match=r"\[x1, x2\] hits y of the wrong parity"):
+            invariant_report(alg)
+    assert len(walks) == 1
 
 
 def test_algebra_with_kept_values_pickles():
