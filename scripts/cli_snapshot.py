@@ -8,23 +8,24 @@ whether a change left every CLI output byte-identical: `diff` their output.
     python3 scripts/cli_snapshot.py > after.txt
 
 Files: the 32 catalog entries, H(10,0), tower(20), tower(30), H(12,6), H_12
-(odd centre, n = 25, whose Der has maps of both degrees), three
-files whose relations contradict super skew symmetry, and every other
-algebra text written as a string literal in tests/test_cli.py and
-tests/test_fileformat.py.  Each runs under validate, invariants and
-derivations (text and --json) and bounds.  The file-free commands follow:
-the three `catalog verify` forms, `catalog list`, `catalog show` of every
-entry, `classify` of the six classified st values at six graded dimensions
-and of one unsupported value, `make` of each family at two sizes, to
-stdout, and the usage errors and help requests of USAGE.  The CLI runs in
-this process, on files written to a temporary directory and named relative
-to it, so no path differs between runs.
+(odd centre, n = 25, whose Der has maps of both degrees), three files whose
+relations contradict super skew symmetry, and the 32 texts of
+cli_snapshot_texts.json: parser and CLI cases first written as string
+literals in tests/test_cli.py and tests/test_fileformat.py, kept fixed so
+that a new test does not change the snapshot.  Each runs under validate,
+invariants and derivations (text and --json) and bounds.  The file-free
+commands follow: the three `catalog verify` forms, `catalog list`,
+`catalog show` of every entry, `classify` of the six classified st values
+at six graded dimensions and of one unsupported value, `make` of each
+family at two sizes, to stdout, and the usage errors and help requests of
+USAGE.  The CLI runs in this process, on files written to a temporary
+directory and named relative to it, so no path differs between runs.
 """
 
-import ast
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -35,7 +36,10 @@ from superstem.catalog import classified_values, entries
 from superstem.cli import main
 from superstem.fileformat import export
 
-TESTS = Path(__file__).resolve().parent.parent / "tests"
+# algebra texts of the parser and CLI tests, frozen, so that a new test
+# adds no snapshot line; each is keyed by the test file it was taken from
+# and the first 12 hex digits of its sha256
+TEXTS = Path(__file__).resolve().with_name("cli_snapshot_texts.json")
 
 CONFLICTS = {
     "even-even-mirror": 'algebra "x"\neven: e1 e2 e3\nodd:\n[e1, e2] = e3\n[e2, e1] = e3\n',
@@ -97,32 +101,12 @@ def file_free_commands() -> list[list[str]]:
     return cmds + list(USAGE)
 
 
-def literal_texts(path: Path) -> list[str]:
-    """The string literals of a test file that read as algebra files; the
-    pieces of f-strings are skipped."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    pieces = {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr) for v in node.values}
-    return [
-        node.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in pieces
-        and "algebra" in node.value and ("\neven:" in node.value or "\nodd:" in node.value)
-    ]
-
-
 def corpus() -> dict[str, str]:
     files = {e.name: export(e.algebra) for e in entries()}
     for alg in (heisenberg_even(10, 0), tower(20), tower(30), heisenberg_even(12, 6), heisenberg_odd(12)):
         files[alg.name] = export(alg)
     files.update(CONFLICTS)
-    # test texts are named by content and taken once, so a text added to a
-    # test file adds lines to the snapshot without renaming the others
-    seen = set(files.values())
-    for test_file in ("test_cli.py", "test_fileformat.py"):
-        for text in literal_texts(TESTS / test_file):
-            if text not in seen:
-                seen.add(text)
-                files[f"{test_file}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"] = text
+    files.update(json.loads(TEXTS.read_text(encoding="utf-8")))
     return files
 
 

@@ -277,7 +277,12 @@ def validate(alg: LieSuperalgebra) -> ValidationReport:
     """Check grading, super skew symmetry, and the graded Jacobi identity.
 
     Returns a ValidationReport; the first violation of each law is recorded.
-    Every law reads the sparse brackets of basis pairs only.
+    Every law walks the stored nonzero brackets, not the n^2 basis pairs.
+    The Jacobi law sums only the triples that a nonzero bracket reaches:
+    (i, j, k) is checked when some term s [b_a, [b_b, b_c]] of its cyclic
+    sum has [b_b, b_c] != 0 and [b_a, b_m] != 0 for a b_m in its support.
+    Any other triple sums to zero, whatever the table, so the first
+    violation is the one that a walk over every i <= j <= k finds first.
     """
     n, names = alg.n, alg.basis_names
     p = [alg.parity(i) for i in range(n)]
@@ -295,30 +300,25 @@ def validate(alg: LieSuperalgebra) -> ValidationReport:
                     f"[{names[j]}, {names[i]}] is not the signed mirror of the (i, j) orientation")
 
     def jacobi():
-        # a triple i <= j <= k can break the identity only when one of its
-        # inner brackets [b_j, b_k], [b_k, b_i], [b_i, b_j] is nonzero, so
-        # each pair (i, j) visits only those k, still in increasing order
-        right, left = [set() for _ in range(n)], [set() for _ in range(n)]
-        for i, j, _ in alg.nonzero_brackets:
-            right[i].add(j)
-            left[j].add(i)
-        for i in range(n):
-            for j in range(i, n):
-                if j in right[i]:
-                    ks = range(j, n)
-                else:
-                    ks = sorted(k for k in right[j] | left[i] if k >= j)
-                for k in ks:
-                    acc: dict[int, Scalar] = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        s = _sign(p[a] * p[c])
-                        for m, coeff in alg.basis_bracket(b, c):
-                            for t, coeff2 in alg.basis_bracket(a, m):
-                                acc[t] = acc.get(t, ZERO) + s * coeff * coeff2
-                    if any(acc.values()):
-                        yield LawViolation(
-                            "jacobi", (i, j, k),
-                            f"graded Jacobi fails on ({names[i]}, {names[j]}, {names[k]})")
+        # a term s [b_a, [b_b, b_c]] of the cyclic sum is zero unless [b_b, b_c]
+        # is a stored nonzero bracket reaching some b_m with [b_a, b_m] != 0, so
+        # only the sorted triples of such (a, b, c) are summed, in increasing order
+        hits: list[list[int]] = [[] for _ in range(n)]
+        for a, m, _ in alg.nonzero_brackets:
+            hits[m].append(a)
+        reached = {tuple(sorted((a, b, c)))
+                   for b, c, support in alg.nonzero_brackets for m, _ in support for a in hits[m]}
+        for i, j, k in sorted(reached):
+            acc: dict[int, Scalar] = {}
+            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                s = _sign(p[a] * p[c])
+                for m, coeff in alg.basis_bracket(b, c):
+                    for t, coeff2 in alg.basis_bracket(a, m):
+                        acc[t] = acc.get(t, ZERO) + s * coeff * coeff2
+            if any(acc.values()):
+                yield LawViolation(
+                    "jacobi", (i, j, k),
+                    f"graded Jacobi fails on ({names[i]}, {names[j]}, {names[k]})")
 
     first = [alg._grading_violation] + [next(law, None) for law in (skew(), jacobi())]
     return ValidationReport(*(v is None for v in first), tuple(v for v in first if v is not None))

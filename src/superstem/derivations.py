@@ -53,9 +53,15 @@ from .linalg import (
 
 
 class GradedLinearMap(Record):
-    """A homogeneous map held as the sorted (i n + j, x) pairs of its
-    nonzero entries, as a DerivationSpace basis row; `matrix` is its n x n
-    Matrix view, built on first use."""
+    """A homogeneous map held as the (i n + j, x) pairs of its nonzero
+    entries, as a DerivationSpace basis row; `matrix` is its n x n Matrix
+    view, built on first use.
+
+    The row holds sorted, in-range nonzero pairs: columns increase and lie
+    in 0 .. n^2-1.  Every library path builds that form; a hand-made row out
+    of order still compares unequal to the sorted one, and `matrix` refuses
+    a column out of range.
+    """
 
     parity: int
     n: int
@@ -63,9 +69,12 @@ class GradedLinearMap(Record):
 
     @cached_property
     def matrix(self) -> Matrix:
+        """Raises ValueError for a column of row outside 0 .. n^2-1."""
         n = self.n
         rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
         for f, x in self.row:
+            if not 0 <= f < n * n:
+                raise ValueError(f"column {f} is outside a map of {n * n} entries")
             i, j = divmod(f, n)
             rows[i].append((j, x))
         return Matrix(n, n, tuple(map(tuple, rows)))

@@ -74,8 +74,13 @@ def _div(x: Scalar, p: Scalar) -> Scalar:
 
 
 class Matrix(Record):
-    """A rows x cols matrix held as each row's nonzero (column, value) pairs,
-    in increasing column order; no stored value is zero."""
+    """A rows x cols matrix held as each row's nonzero (column, value) pairs.
+
+    A row holds sorted, in-range nonzero pairs: columns increase and lie in
+    0 .. cols-1, and no stored value is zero.  Every library path builds
+    that form; a hand-made row out of order still compares unequal to the
+    sorted one, and `entries` refuses a column out of range.
+    """
 
     rows: int
     cols: int
@@ -83,10 +88,15 @@ class Matrix(Record):
 
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The dense rows, filled with the shared ZERO and built on each call."""
+        """The dense rows, filled with the shared ZERO and built on each call.
+
+        Raises ValueError for a stored column outside 0 .. cols-1.
+        """
         dense = [[ZERO] * self.cols for _ in self.support]
         for out, row in zip(dense, self.support):
             for j, x in row:
+                if not 0 <= j < self.cols:
+                    raise ValueError(f"column {j} is outside a matrix of {self.cols} columns")
                 out[j] = x
         return tuple(map(tuple, dense))
 

@@ -9,7 +9,9 @@ then checked against the theorem that `catalog` carries: st(L) >= (0|0),
 st(L) != (0|1), and for a classified st the stem part of L looks like a
 listed head.  "Looks like" is an equal fingerprint, a necessary condition
 and not an isomorphism test.  The draws also carry a check that the
-invariants do not depend on the basis.
+invariants do not depend on the basis.  `solvable_superalgebras` extends a
+nilpotent draw by an even derivation, for the tests elsewhere that need
+draws which are mostly not nilpotent.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from hypothesis import strategies as strat
 from superstem.build import abelian, algebra_from_relations, heisenberg_even, heisenberg_odd
 from superstem.catalog import classified_values, heads_for
 from superstem.core import SuperDim, from_brackets, validate
-from superstem.derivations import derivation_report
+from superstem.derivations import derivation_report, derivation_space
 from superstem.invariants import invariant_report, stem_decomposition
 from superstem.linalg import kernel_basis, sparse_matrix
 
@@ -96,6 +98,33 @@ def nilpotent_superalgebras(draw):
     for _ in range(draw(strat.integers(1, 5))):
         alg = central_extension(draw, alg, draw(strat.integers(0, 1)))
     return alg
+
+
+def semidirect_extension(draw, alg):
+    """alg with an even basis vector h added, [h, x] = D(x) and
+    [x, h] = -D(x), for D a drawn integer combination of the even maps of
+    derivation_space(alg).  Jacobi holds because D is an even derivation;
+    [h, h] = 0 as h is even."""
+    n, h = alg.n, alg.sdim.even
+    # h goes last among the even basis vectors
+    move = [i if i < h else i + 1 for i in range(n)]
+    values = [{} for _ in range(n)]  # D(b_j) in the new basis; zeros are dropped later
+    for d in derivation_space(alg).maps(0):
+        c = draw(strat.integers(-2, 2))
+        for f, x in d.row:
+            i, j = divmod(f, n)
+            values[j][move[i]] = values[j].get(move[i], 0) + c * x
+    relations = [(move[i], move[j], {move[k]: x for k, x in support})
+                 for i, j, support in alg.nonzero_brackets if i <= j]
+    relations += [(h, move[j], value) for j, value in enumerate(values) if value]
+    return algebra_from_relations("draw+h", (*alg.even_names, "h"), alg.odd_names, relations)
+
+
+@strat.composite
+def solvable_superalgebras(draw):
+    """A nilpotent draw extended by an even derivation: mostly not
+    nilpotent, and h reaches every basis vector in the image of D."""
+    return semidirect_extension(draw, draw(nilpotent_superalgebras()))
 
 
 @strat.composite

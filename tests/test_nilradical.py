@@ -12,7 +12,7 @@ ordered basis pairs with a nonzero bracket are the (E_ab, E_bd) and
 (E_bd, E_ab) for a < b < d, 2 C(m+k, 3) of them, against about 2n for
 the towers, so its Der system is far denser than theirs.  The closure
 of Der against the dense references runs on these algebras in
-`test_sparse_maps.py`, the sympy oracle on n(2|2) in
+`test_sparse_maps.py`, the sympy oracle on n(2|2), n(3|3) and n(4|4) in
 `test_oracle_sympy.py`.
 """
 

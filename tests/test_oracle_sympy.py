@@ -6,7 +6,8 @@ superstem, on hypothesis matrices and on the Der system (`_law_rows`, one
 n^2-wide system for both degrees) of each catalog entry.  Der, ID, ID* and ad are then checked against spaces
 that sympy solves from their definitions, read off the dense structure
 tensor without `_law_rows` or `inner_derivations`, on the catalog, on
-random nilpotent superalgebras, on the dense nilradical n(2|2) and on
+random nilpotent superalgebras and their extensions by an even
+derivation, on the dense nilradicals n(2|2), n(3|3) and n(4|4) and on
 the rescaled and sheared copies of the non-stem examples, where the
 stacked reference of test_single_pass shares `_law_rows` with the code it
 checks.
@@ -22,7 +23,7 @@ from superstem.catalog import entries
 from superstem.derivations import _law_rows, derivation_space, id_star, inner_derivations
 from superstem.invariants import center, derived_subalgebra
 from superstem.linalg import intersect_spaces, kernel_basis, mat_mul, matrix, rref, sparse_matrix
-from test_central_extensions import nilpotent_superalgebras
+from test_central_extensions import nilpotent_superalgebras, solvable_superalgebras
 from test_nilradical import nilradical
 from test_single_pass import non_stem_examples, rescaled, sheared
 
@@ -217,3 +218,14 @@ def test_derivation_spaces_on_rescaled_and_sheared_bases_match_sympy(alg):
 
 def test_derivation_spaces_of_the_nilradical_n22_match_sympy():
     check_derivation_spaces(nilradical(2, 2))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4)], ids=("n(3|3)", "n(4|4)"))
+def test_derivation_spaces_of_larger_nilradicals_match_sympy(shape):
+    check_derivation_spaces(nilradical(*shape))
+
+
+@settings(max_examples=10, deadline=None)
+@given(solvable_superalgebras())
+def test_derivation_spaces_of_random_solvable_superalgebras_match_sympy(alg):
+    check_derivation_spaces(alg)

@@ -14,6 +14,7 @@ on rescaled and sheared bases.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import superstem.derivations
 from superstem.build import (
@@ -55,6 +56,7 @@ from superstem.invariants import (
 from superstem.linalg import ZERO, EchelonBasis, Matrix, frac, kernel_basis, matrix, rref, sparse_matrix
 
 from test_acceptance import corpus
+from test_central_extensions import solvable_superalgebras
 from test_linalg import dense_reduce
 
 
@@ -174,6 +176,12 @@ def quotient_series(alg):
 
 @pytest.mark.parametrize("alg", differential_corpus(), ids=lambda a: a.name)
 def test_kernel_series_matches_quotient_series(alg):
+    assert upper_central_series(alg) == quotient_series(alg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(solvable_superalgebras())
+def test_kernel_series_matches_quotient_series_on_solvable_draws(alg):
     assert upper_central_series(alg) == quotient_series(alg)
 
 

@@ -491,6 +491,20 @@ def test_zero_by_zero_maps():
         derivation_space(abelian(1, 0)).contains(empty)
 
 
+@pytest.mark.parametrize("column", [-1, 4, 7], ids=("negative", "n^2", "past n^2"))
+def test_map_view_refuses_a_column_out_of_range(column):
+    """-1 would otherwise land at entry (1, 1) of a 2 x 2 map."""
+    with pytest.raises(ValueError, match=f"column {column} "):
+        GradedLinearMap(0, 2, ((column, 1),)).matrix
+
+
+@pytest.mark.parametrize("column", [-1, 2, 5], ids=("negative", "cols", "past cols"))
+def test_matrix_entries_refuse_a_column_out_of_range(column):
+    """-1 would otherwise land in the last column."""
+    with pytest.raises(ValueError, match=f"column {column} "):
+        Matrix(1, 2, (((column, 5),),)).entries
+
+
 MIXED_ALGEBRAS = [get("(3|2)_13").algebra, rescaled(get("(3|2)_13").algebra), get("(2|2)_6").algebra]
 
 

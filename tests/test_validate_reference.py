@@ -1,12 +1,16 @@
 """`validate` against the dense law check it replaced.
 
-`validate` reads only the sparse brackets of basis pairs, and its Jacobi
-check visits only the triples with a nonzero inner bracket.  The reference
-below is the earlier version, which compared skew symmetry over the dense
-structure tensor and visited every triple i <= j <= k; both must give
-identical reports, every law flag and every (law, indices, detail), on the
-acceptance corpus, on H(25,0) and tower(30), and on corrupted copies of
-them, some of whose overwritten constants are fresh Fraction(0) objects.
+`validate` walks the stored nonzero brackets, and its Jacobi check sums
+only the triples that a nonzero bracket reaches: some term
+s [b_a, [b_b, b_c]] of the cyclic sum has [b_b, b_c] != 0 and
+[b_a, b_m] != 0 for a b_m in its support.  The reference below is the
+earlier version, which compared skew symmetry over the dense structure
+tensor and visited every triple i <= j <= k; both must give identical
+reports, every law flag and every (law, indices, detail), on the
+acceptance corpus, on H(25,0) and tower(30), on random extensions of
+nilpotent draws by an even derivation, and on corrupted copies of them
+all, some of whose overwritten constants are fresh Fraction(0) objects.
+The cost of the check is pinned by counting its `basis_bracket` calls.
 """
 
 from fractions import Fraction
@@ -15,11 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from superstem.build import heisenberg_even, tower
+from superstem.build import heisenberg_even, heisenberg_odd, tower
 from superstem.core import LawViolation, LieSuperalgebra, ValidationReport, validate
 from superstem.linalg import ZERO
 
 from test_acceptance import corpus
+from test_central_extensions import solvable_superalgebras
+from test_nilradical import nilradical
 
 
 def _sign(exponent):
@@ -118,11 +124,11 @@ def test_large_sparse_algebras_match_dense(alg):
 
 
 @strat.composite
-def corrupted(draw, pool=CORPUS, writes=(1, 3)):
-    """An algebra of the pool with some structure constants overwritten
-    (1-3 by default); each write may also set the signed mirror, so that
-    skew symmetry can hold while grading or Jacobi fail."""
-    alg = pool[draw(strat.integers(0, len(pool) - 1))]
+def corrupted(draw, algebras=strat.sampled_from(CORPUS), writes=(1, 3)):
+    """A drawn algebra with some structure constants overwritten (1-3 by
+    default); each write may also set the signed mirror, so that skew
+    symmetry can hold while grading or Jacobi fail."""
+    alg = draw(algebras)
     n = alg.n
     tensor = [[list(row) for row in plane] for plane in alg.tensor]
     index = strat.integers(0, n - 1)
@@ -143,8 +149,24 @@ def test_corruptions_match_dense(alg):
 
 
 @settings(max_examples=25, deadline=None)
-@given(corrupted(LARGE, (1, 1)))
+@given(corrupted(strat.sampled_from(LARGE), (1, 1)))
 def test_large_algebras_with_one_corrupted_constant_match_dense(alg):
+    assert validate(alg) == dense_validate(alg)
+
+
+# L + <h> with [h, x] = D(x): mostly not nilpotent, and h reaches the whole
+# image of D, so the reach sets are dense where no nilpotent draw's are
+@settings(max_examples=60, deadline=None)
+@given(solvable_superalgebras())
+def test_solvable_draws_match_dense(alg):
+    rep = validate(alg)
+    assert rep == dense_validate(alg)
+    assert rep.ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted(solvable_superalgebras(), (1, 1)))
+def test_solvable_draws_with_one_corrupted_constant_match_dense(alg):
     assert validate(alg) == dense_validate(alg)
 
 
@@ -165,3 +187,27 @@ def test_late_jacobi_violation_is_found_first_in_order(alg, spot, first):
     assert rep == dense_validate(broken)
     assert rep.skew_ok and rep.grading_ok and not rep.jacobi_ok
     assert rep.violations[0].indices == first
+
+
+@pytest.mark.parametrize("build", [
+    lambda: heisenberg_even(60, 0),
+    lambda: heisenberg_odd(60),
+    lambda: tower(120),
+    lambda: nilradical(6, 6),
+], ids=("H(60,0)", "H_60", "tower(120)", "n(6|6)"))
+def test_validate_costs_its_nonzero_brackets(monkeypatch, build):
+    """A fresh algebra's validate reads at most 8 basis brackets per nonzero
+    bracket (1.0 to 6.6 here); a walk over the n^2/2 basis pairs reads
+    124 to 244."""
+    alg = build()
+    calls = 0
+    bracket = LieSuperalgebra.basis_bracket
+
+    def counting(self, i, j):
+        nonlocal calls
+        calls += 1
+        return bracket(self, i, j)
+
+    monkeypatch.setattr(LieSuperalgebra, "basis_bracket", counting)
+    assert validate(alg).ok
+    assert calls <= 8 * len(alg.nonzero_brackets)
